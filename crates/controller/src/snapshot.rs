@@ -12,7 +12,7 @@
 //! would have.
 //!
 //! The serialized form is hand-rolled (the vendored `serde` is
-//! marker-only, matching `bench/report.rs`): a line-oriented document of
+//! marker-only): a line-oriented document of
 //! flat JSON objects. Line 1 is a versioned header carrying the section
 //! lengths, so the parser is strictly positional; floats that must
 //! round-trip bit-exactly travel either through the journal's

@@ -4,8 +4,9 @@
 //! happens when 8, 64, or 256 independent tenant optimizations share a
 //! process and a thread pool ([`nfv_fleet::run`]): how much state the
 //! cross-shard rebalancer moves, how long a handoff parks a tenant in
-//! virtual time, and — measured by the bench harness, not here — how
-//! many events per wall-clock second the sharded loop sustains.
+//! virtual time, and — measured by perfbench's `fleet` workload, not
+//! here — how many events per wall-clock second the sharded loop
+//! sustains.
 //!
 //! Everything this module reports is virtual-time or counter data, so
 //! the sweep is deterministic: same seed, same table, at any thread
@@ -73,25 +74,6 @@ pub fn run_fleet_point(
     seed: u64,
 ) -> Result<FleetOutcome, FleetError> {
     nfv_fleet::run(&fleet_spec(tenants, shards, seed))
-}
-
-/// Runs one fleet point with the observability plane toggled — the
-/// `false` side is the "plain" baseline the bench harness prices the
-/// plane against.
-///
-/// # Errors
-///
-/// Propagates any [`FleetError`] from the loop.
-pub fn run_fleet_point_observed(
-    tenants: usize,
-    shards: usize,
-    seed: u64,
-    observability: bool,
-) -> Result<FleetOutcome, FleetError> {
-    nfv_fleet::run(&FleetSpec {
-        observability,
-        ..fleet_spec(tenants, shards, seed)
-    })
 }
 
 /// Sweeps the fleet sizes and tabulates the deterministic columns:

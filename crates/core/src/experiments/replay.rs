@@ -1,5 +1,5 @@
-//! Replay-throughput experiment: how many trace events per second the
-//! online control plane can ingest.
+//! Replay-throughput experiment: the workload behind how many trace
+//! events per second the online control plane can ingest.
 //!
 //! The other experiments ask what the controller *decides*; this one asks
 //! how fast it can decide it. A high-rate churn trace — a million-plus
@@ -17,10 +17,11 @@
 //!   final ledger state are identical to the streamed path; only the
 //!   latency *sampling* is coarser.
 //!
-//! Timings include stream generation: the replay engine's unit of work is
-//! "trace in, report out", and the trace is generated on the fly.
-
-use std::time::Instant;
+//! This module fixes the point and pins the two paths' equivalence; it
+//! reads no clock. The throughput itself is perfbench's `replay` workload
+//! (`events_per_s`), whose timings include stream generation: the replay
+//! engine's unit of work is "trace in, report out", and the trace is
+//! generated on the fly.
 
 use nfv_controller::{Controller, ControllerConfig, ControllerReport};
 use nfv_workload::churn::ChurnTraceBuilder;
@@ -107,81 +108,9 @@ pub fn setup(point: &ReplayPoint, seed: u64) -> Result<(Scenario, ChurnTraceBuil
     Ok((scenario, builder))
 }
 
-/// Measured throughput of both ingestion paths over one point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplayThroughput {
-    /// Total events in the streamed trace.
-    pub events: u64,
-    /// Virtual-time horizon of the trace, seconds.
-    pub horizon: f64,
-    /// Fastest wall-clock replay through the exact per-event path
-    /// (stream generation included), seconds.
-    pub streamed_seconds: f64,
-    /// Fastest wall-clock replay through the batched path, seconds.
-    pub batched_seconds: f64,
-    /// Requests admitted by the batched replay — evidence the replay is
-    /// doing admission work, not just draining a rejected stream.
-    pub admitted: u64,
-    /// Requests rejected by the batched replay.
-    pub rejected: u64,
-}
-
-impl ReplayThroughput {
-    /// Events per wall-clock second through the exact per-event path.
-    #[must_use]
-    pub fn streamed_events_per_second(&self) -> f64 {
-        self.events as f64 / self.streamed_seconds
-    }
-
-    /// Events per wall-clock second through the batched path — the
-    /// headline replay-engine figure.
-    #[must_use]
-    pub fn events_per_second(&self) -> f64 {
-        self.events as f64 / self.batched_seconds
-    }
-}
-
-/// Replays the point's streamed trace `runs` times through each ingestion
-/// path (single-threaded; minima, not means) and returns the throughput.
-///
-/// # Errors
-///
-/// Propagates scenario/trace construction errors.
-pub fn measure(point: &ReplayPoint, seed: u64, runs: u32) -> Result<ReplayThroughput, CoreError> {
-    let (scenario, builder) = setup(point, seed)?;
-    let events = builder.stream(&scenario)?.count() as u64;
-    let mut streamed_seconds = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let mut controller = Controller::new(&scenario, ControllerConfig::online_only());
-        let started = Instant::now();
-        let stream = builder.stream(&scenario)?;
-        let _ = controller.run_stream(stream, point.horizon);
-        streamed_seconds = streamed_seconds.min(started.elapsed().as_secs_f64());
-    }
-    let mut batched_seconds = f64::INFINITY;
-    let mut batched_report = None;
-    for _ in 0..runs.max(1) {
-        let mut controller = Controller::new(&scenario, ControllerConfig::online_only());
-        let started = Instant::now();
-        let stream = builder.stream(&scenario)?;
-        let report = controller.run_stream_batched(stream, point.horizon);
-        batched_seconds = batched_seconds.min(started.elapsed().as_secs_f64());
-        batched_report = Some(report);
-    }
-    let report = batched_report.expect("at least one batched run");
-    Ok(ReplayThroughput {
-        events,
-        horizon: point.horizon,
-        streamed_seconds,
-        batched_seconds,
-        admitted: report.admitted,
-        rejected: report.rejected,
-    })
-}
-
 /// Replays the point's trace through both paths once and returns
-/// `(streamed, batched)` reports — the equivalence surface the tests and
-/// the CI gate check.
+/// `(streamed, batched)` reports — the equivalence surface the tests
+/// check.
 ///
 /// # Errors
 ///
@@ -227,17 +156,6 @@ mod tests {
         assert_eq!(streamed.active, batched.active);
         assert_eq!(streamed.current_latency, batched.current_latency);
         assert!(streamed.admitted > 1_000, "the smoke point must admit");
-    }
-
-    #[test]
-    fn measure_reports_consistent_throughput() {
-        let point = ReplayPoint::smoke();
-        let throughput = measure(&point, 7, 1).unwrap();
-        assert!(throughput.events > 5_000, "smoke point is ~8k events");
-        assert!(throughput.streamed_seconds > 0.0);
-        assert!(throughput.batched_seconds > 0.0);
-        assert!(throughput.events_per_second() > 0.0);
-        assert!(throughput.admitted > 0);
     }
 
     #[test]

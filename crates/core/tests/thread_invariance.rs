@@ -175,6 +175,13 @@ fn fleet_experiment_is_thread_count_invariant() {
     // The acceptance-scale point: 256 tenants in one process.
     assert_invariant("fleet point (256 tenants / 16 shards) + journal", || {
         let outcome = fleet::run_fleet_point(256, 16, 42).unwrap();
+        // Virtual-clock counters, so zeros mean the handoff path stopped
+        // running rather than host noise.
+        assert!(
+            outcome.report.migrations >= 1 && outcome.report.mean_rebalance_latency > 0.0,
+            "the 256-tenant point must complete a cross-shard migration: {:?}",
+            outcome.report
+        );
         format!(
             "{:?}\n{:?}\n{}",
             outcome.report,
@@ -211,8 +218,8 @@ fn chaos_recovery_is_thread_count_invariant_and_byte_identical() {
         let baseline = run(&spec).unwrap();
         let faulted = run_with_faults(&spec, &plan).unwrap();
         assert!(
-            faulted.recovery.faults_injected > 0,
-            "the seeded plan must actually disturb the run: {:?}",
+            faulted.recovery.faults_injected > 0 && faulted.recovery.events_replayed >= 1,
+            "the seeded plan must actually disturb the run and recovery must replay: {:?}",
             faulted.recovery
         );
         assert_eq!(faulted.report, baseline.report, "fleet report");
@@ -264,6 +271,10 @@ fn observability_registry_dumps_are_thread_count_invariant() {
     });
     assert_invariant("fleet registry dump (256 tenants / 16 shards)", || {
         let outcome = fleet::run_fleet_point(256, 16, 42).unwrap();
+        assert!(
+            !outcome.registry.is_empty(),
+            "an empty registry means the metrics plane stopped recording"
+        );
         format!(
             "{}\n{:?}\n{}",
             outcome.registry.to_text(),

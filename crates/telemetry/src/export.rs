@@ -1,7 +1,7 @@
 //! Exporters: Prometheus text exposition and a hand-rolled JSON dump.
 //!
-//! The vendored `serde` stand-in has no serializers, so — like
-//! `bench/report.rs` — both formats are written by hand. Output is a
+//! The vendored `serde` stand-in has no serializers, so both formats
+//! are written by hand. Output is a
 //! pure function of the [`Registry`] contents (`BTreeMap` iteration,
 //! shortest-round-trip float formatting), so exports inherit the
 //! registry's byte-identity across thread counts.

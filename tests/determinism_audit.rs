@@ -10,22 +10,17 @@
 //!
 //! Deliberately out of scope: `tests/`, `benches/` and `src/bin/` CLI
 //! entry points (timing *around* a deterministic computation is fine —
-//! `tests/scale.rs`, the criterion harness and `figures bench` do exactly
-//! that) and the vendored shims under `vendor/`.
+//! `tests/scale.rs` and `figures profile` do exactly that) and the
+//! vendored shims under `vendor/`.
 //!
-//! Two library files are allowlisted. `crates/telemetry/src/span.rs` is
+//! One library file is allowlisted. `crates/telemetry/src/span.rs` is
 //! the telemetry layer's timing-span module: its wall-clock reads are
 //! strictly observational — span durations feed `PhaseProfile` summaries
 //! and never flow back into any decision, which the thread-invariance
 //! tests pin by asserting bit-identical results with telemetry on and
-//! off. `crates/core/src/experiments/replay.rs` is the replay throughput
-//! measurement: the wall time *is* the reported figure
-//! (`streamed_seconds` / `batched_seconds`), while every deterministic
-//! field of the same report (events, admitted, rejected) is pinned
-//! seed-exact by tests that never read the timing. Keeping the clock
-//! behind these audited seams is the point of this allowlist: anything
-//! else that wants the time must go through a `SpanToken` or a
-//! measurement report, not read the clock itself.
+//! off. Keeping the clock behind this audited seam is the point of the
+//! allowlist: anything else that wants the time must go through a
+//! `SpanToken`, not read the clock itself.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,9 +33,6 @@ const FORBIDDEN: &[&str] = &["Instant::now", "SystemTime", "thread_rng"];
 const ALLOWLISTED: &[&str] = &[
     // Telemetry timing spans: durations are reported, never consulted.
     "crates/telemetry/src/span.rs",
-    // Replay throughput measurement: the wall time is the figure being
-    // reported; the replay's results are seed-deterministic regardless.
-    "crates/core/src/experiments/replay.rs",
 ];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -49,7 +41,7 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
             // CLI entry points may time around deterministic computations
-            // (`figures bench`); everything they call is still audited.
+            // (`figures profile`); everything they call is still audited.
             if path.file_name().is_some_and(|name| name == "bin") {
                 continue;
             }
