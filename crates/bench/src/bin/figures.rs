@@ -33,7 +33,6 @@
 
 use std::env;
 use std::fmt::Write as _;
-use std::io::BufWriter;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -46,7 +45,7 @@ use nfv_metrics::{enhancement_ratio, Table};
 use nfv_parallel::{default_threads, par_map_indexed, set_default_threads};
 use nfv_placement::{Bfd, Bfdsu, Ffd, Placer};
 use nfv_scheduling::{Cga, KkForward, Rckk, RoundRobin, Scheduler};
-use nfv_telemetry::{CsvSink, EventKind, JsonlSink, Telemetry, TraceEvent};
+use nfv_telemetry::{parse_jsonl_journal, EventKind, Telemetry, TraceEvent};
 
 struct Options {
     /// The command to run; `None` runs every command (`all`).
@@ -790,9 +789,11 @@ fn print_resilience(out: &mut String, seed: u64) -> Result<(), CoreError> {
 
 /// `figures trace`: one emergency/retry resilience run under an enabled
 /// telemetry session. The outage timeline below is reconstructed from
-/// the *serialized* JSONL journal — every line is parsed back through
-/// `TraceEvent::from_json` first — so the command also proves the
-/// journal round-trips with causality intact.
+/// the *serialized* JSONL journal — parsed back through
+/// `parse_jsonl_journal`, schema header included — so the command also
+/// proves the journal round-trips with causality intact. With `--csv
+/// DIR` the journal (JSONL and CSV) and the per-tick series are written
+/// there after the run.
 fn print_trace(out: &mut String, seed: u64) -> Result<(), CoreError> {
     let point = resilience::ResiliencePoint::base();
     let _ = writeln!(
@@ -802,29 +803,31 @@ fn print_trace(out: &mut String, seed: u64) -> Result<(), CoreError> {
         point.horizon, point.nodes, point.node_mtbf, point.node_mttr, point.tick_period
     );
     let mut tel = Telemetry::enabled();
-    if let Some(dir) = CSV_DIR.get() {
-        match std::fs::File::create(dir.join("trace_resilience.jsonl")) {
-            Ok(file) => tel.add_sink(Box::new(JsonlSink::new(BufWriter::new(file)))),
-            Err(err) => eprintln!("jsonl sink failed: {err}"),
-        }
-        match std::fs::File::create(dir.join("trace_resilience.csv")) {
-            Ok(file) => tel.add_sink(Box::new(CsvSink::new(BufWriter::new(file)))),
-            Err(err) => eprintln!("csv sink failed: {err}"),
-        }
-    }
     let outcome = resilience::trace_run(&point, seed, &mut tel)?;
     let artifacts = tel.finish();
+    let jsonl = artifacts.journal_jsonl();
+    let mut written_to = None;
+    if let Some(dir) = CSV_DIR.get() {
+        let (csv, series) = (artifacts.journal_csv(), artifacts.series.to_csv());
+        let mut written = true;
+        for (name, text) in [
+            ("trace_resilience.jsonl", &jsonl),
+            ("trace_resilience.csv", &csv),
+            ("trace_series.csv", &series),
+        ] {
+            if let Err(err) = std::fs::write(dir.join(name), text) {
+                eprintln!("{name} write failed: {err}");
+                written = false;
+            }
+        }
+        written_to = written.then_some(dir);
+    }
 
     // Re-read the journal from its serialized form: a journal that
     // cannot be parsed back is not a journal.
-    let mut events = Vec::with_capacity(artifacts.events.len());
-    for line in artifacts.journal_jsonl().lines() {
-        events.push(
-            TraceEvent::from_json(line).map_err(|_| CoreError::Inconsistent {
-                reason: "journal JSONL line failed to round-trip",
-            })?,
-        );
-    }
+    let events = parse_jsonl_journal(&jsonl).map_err(|_| CoreError::Inconsistent {
+        reason: "journal JSONL failed to round-trip",
+    })?;
 
     let mut counts: Vec<(&'static str, u64)> = Vec::new();
     for event in &events {
@@ -946,20 +949,14 @@ fn print_trace(out: &mut String, seed: u64) -> Result<(), CoreError> {
         if up_at.is_some() { "NodeUp" } else { "horizon" },
     );
 
-    if let Some(dir) = CSV_DIR.get() {
-        let series_path = dir.join("trace_series.csv");
-        match std::fs::write(&series_path, artifacts.series.to_csv()) {
-            Ok(()) => {
-                let _ = writeln!(
-                    out,
-                    "journal written to {} (jsonl) and {} (csv), per-tick series to {}",
-                    dir.join("trace_resilience.jsonl").display(),
-                    dir.join("trace_resilience.csv").display(),
-                    series_path.display()
-                );
-            }
-            Err(err) => eprintln!("series csv write failed: {err}"),
-        }
+    if let Some(dir) = written_to {
+        let _ = writeln!(
+            out,
+            "journal written to {} (jsonl) and {} (csv), per-tick series to {}",
+            dir.join("trace_resilience.jsonl").display(),
+            dir.join("trace_resilience.csv").display(),
+            dir.join("trace_series.csv").display()
+        );
     }
     Ok(())
 }

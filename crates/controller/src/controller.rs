@@ -8,7 +8,7 @@ use nfv_placement::{Bfdsu, Placement, PlacementProblem};
 use nfv_scheduling::{Rckk, Scheduler};
 use nfv_search::{objective, Engine, SearchConfig, SearchRun};
 use nfv_telemetry::{EventKind, Phase, ReoptPhase, Telemetry, TickSample};
-use nfv_workload::churn::{ChurnEvent, ChurnTrace, TimedEvent};
+use nfv_workload::churn::{ChurnEvent, TimedEvent};
 use nfv_workload::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -289,11 +289,12 @@ impl Cluster {
 
 /// An online NFV control plane over one scenario.
 ///
-/// Consumes a [`ChurnTrace`] event by event, maintaining a live
-/// [`ControllerState`] ledger under admission control (every instance stays
-/// strictly stable, `ρ < 1`), failing over around instance outages, and —
-/// when configured — periodically re-balancing the live request set with
-/// the paper's RCKK scheduler under a bounded migration budget.
+/// Consumes a [`ChurnTrace`](nfv_workload::churn::ChurnTrace) event by
+/// event, maintaining a live [`ControllerState`] ledger under admission
+/// control (every instance stays strictly stable, `ρ < 1`), failing over
+/// around instance outages, and — when configured — periodically
+/// re-balancing the live request set with the paper's RCKK scheduler under
+/// a bounded migration budget.
 ///
 /// Everything is driven by the trace's virtual clock; the controller never
 /// reads wall-clock time, so same-seed runs are bit-identical.
@@ -314,7 +315,7 @@ impl Cluster {
 ///     .seed(2)
 ///     .build(&scenario)?;
 /// let mut controller = Controller::new(&scenario, ControllerConfig::periodic_reopt());
-/// let report = controller.run_trace(&trace);
+/// let report = controller.run_stream(trace.events().iter().cloned(), trace.horizon());
 /// assert_eq!(report.admitted + report.rejected, 20 + trace.events().iter()
 ///     .filter(|e| e.time() > 0.0
 ///         && matches!(e.event(), nfv_workload::churn::ChurnEvent::Arrival(_)))
@@ -533,26 +534,37 @@ impl Controller {
     /// strict observer — `handle_traced(e, &mut Telemetry::disabled())`
     /// *is* `handle(e)`, and an enabled session changes no outcome.
     pub fn handle_traced(&mut self, event: &TimedEvent, tel: &mut Telemetry) -> EventOutcome {
-        self.advance_clock(event.time(), tel);
-        let outcome = self.dispatch(event.event(), tel);
-        self.post_event(matches!(event.event(), ChurnEvent::ReoptimizeTick), tel);
+        self.ingest(event.clone(), tel)
+    }
+
+    /// [`handle_traced`](Self::handle_traced) consuming the event: an
+    /// arrival's [`Request`] is moved into the active set instead of
+    /// cloned, which matters when replaying millions of streamed events.
+    /// The fleet drain and [`run_stream`](Self::run_stream) ingest through
+    /// here.
+    pub fn ingest(&mut self, event: TimedEvent, tel: &mut Telemetry) -> EventOutcome {
+        let tick = matches!(event.event(), ChurnEvent::ReoptimizeTick);
+        let outcome = self.apply(event, tel);
+        self.post_event(tick, tel);
         outcome
     }
 
-    /// Like [`handle_traced`](Self::handle_traced), but consuming the
-    /// event: an arrival's [`Request`] is moved into the active set instead
-    /// of cloned, which matters when replaying millions of streamed events.
-    /// Outcome-identical to the borrowing path.
-    pub fn handle_owned_traced(&mut self, event: TimedEvent, tel: &mut Telemetry) -> EventOutcome {
+    /// The event core behind every entry point: advances the clock (which
+    /// re-offers due retries) and dispatches the event by value. The
+    /// per-event path refreshes the latency samples after each call; the
+    /// batched path only at tick boundaries.
+    fn apply(&mut self, event: TimedEvent, tel: &mut Telemetry) -> EventOutcome {
         let (time, event) = event.into_parts();
         self.advance_clock(time, tel);
-        let tick = matches!(event, ChurnEvent::ReoptimizeTick);
-        let outcome = match event {
-            ChurnEvent::Arrival(request) => self.admit_owned(request, tel),
-            other => self.dispatch(&other, tel),
-        };
-        self.post_event(tick, tel);
-        outcome
+        match event {
+            ChurnEvent::Arrival(request) => self.admit(request, tel),
+            ChurnEvent::Departure(id) => self.depart(id),
+            ChurnEvent::InstanceDown { vnf, instance } => self.instance_down(vnf, instance, tel),
+            ChurnEvent::InstanceUp { vnf, instance } => self.instance_up(vnf, instance, tel),
+            ChurnEvent::NodeDown { node } => self.node_down(node, tel),
+            ChurnEvent::NodeUp { node } => self.node_up(node, tel),
+            ChurnEvent::ReoptimizeTick => self.tick(tel),
+        }
     }
 
     /// Re-offers retries due before `time` and accumulates the latency
@@ -564,18 +576,6 @@ impl Controller {
         if dt > 0.0 {
             self.latency_integral += self.current_latency * dt;
             self.clock = time;
-        }
-    }
-
-    fn dispatch(&mut self, event: &ChurnEvent, tel: &mut Telemetry) -> EventOutcome {
-        match event {
-            ChurnEvent::Arrival(request) => self.admit(request, tel),
-            ChurnEvent::Departure(id) => self.depart(*id),
-            ChurnEvent::InstanceDown { vnf, instance } => self.instance_down(*vnf, *instance, tel),
-            ChurnEvent::InstanceUp { vnf, instance } => self.instance_up(*vnf, *instance, tel),
-            ChurnEvent::NodeDown { node } => self.node_down(*node, tel),
-            ChurnEvent::NodeUp { node } => self.node_up(*node, tel),
-            ChurnEvent::ReoptimizeTick => self.tick(tel),
         }
     }
 
@@ -632,54 +632,20 @@ impl Controller {
         }
     }
 
-    /// Runs a whole trace and returns the final report.
-    pub fn run_trace(&mut self, trace: &ChurnTrace) -> ControllerReport {
-        self.run_trace_traced(trace, &mut Telemetry::disabled())
-    }
-
-    /// [`run_trace`](Self::run_trace) with a telemetry session observing
-    /// every event. The session is borrowed, not consumed: call
-    /// [`Telemetry::finish`] afterwards to collect the artifacts.
-    pub fn run_trace_traced(
-        &mut self,
-        trace: &ChurnTrace,
-        tel: &mut Telemetry,
-    ) -> ControllerReport {
-        for event in trace {
-            self.handle_traced(event, tel);
-        }
-        self.finish_traced(trace.horizon(), tel);
-        self.report()
-    }
-
-    /// Runs a stream of owned events (e.g. a lazily generated
-    /// [`ChurnStream`](nfv_workload::churn::ChurnStream)) through the exact
-    /// per-event path and closes the run at `horizon`. Given the same
-    /// event sequence this is bit-identical to
-    /// [`run_trace`](Self::run_trace), but the trace never has to exist as
-    /// a `Vec` — million-event replays stay at constant memory.
+    /// Runs a stream of owned events — a lazily generated
+    /// [`ChurnStream`](nfv_workload::churn::ChurnStream), or a materialized
+    /// trace as `trace.events().iter().cloned()` — through the per-event
+    /// path and closes the run at `horizon`. The trace never has to exist
+    /// as a `Vec`, so million-event replays stay at constant memory.
     pub fn run_stream<I>(&mut self, events: I, horizon: f64) -> ControllerReport
     where
         I: IntoIterator<Item = TimedEvent>,
     {
-        self.run_stream_traced(events, horizon, &mut Telemetry::disabled())
-    }
-
-    /// [`run_stream`](Self::run_stream) with a telemetry session observing
-    /// every event.
-    pub fn run_stream_traced<I>(
-        &mut self,
-        events: I,
-        horizon: f64,
-        tel: &mut Telemetry,
-    ) -> ControllerReport
-    where
-        I: IntoIterator<Item = TimedEvent>,
-    {
+        let mut tel = Telemetry::disabled();
         for event in events {
-            self.handle_owned_traced(event, tel);
+            self.ingest(event, &mut tel);
         }
-        self.finish_traced(horizon, tel);
+        self.finish_traced(horizon, &mut tel);
         self.report()
     }
 
@@ -757,13 +723,12 @@ impl Controller {
             // ledger round-trip — `add` then `remove` is a bit-exact
             // identity, so not doing either leaves the same state.
             if let ChurnEvent::Arrival(request) = event.event() {
-                let flash = matches!(
-                    events.peek().map(TimedEvent::event),
-                    Some(ChurnEvent::Departure(id)) if *id == request.id()
-                ) && !self.active.contains_key(request.id())
-                    && self.placement_plan(request).is_some();
-                if flash {
-                    let departure = events.next().expect("peeked");
+                let departure = events.next_if(|next| {
+                    matches!(next.event(), ChurnEvent::Departure(id) if *id == request.id())
+                        && !self.active.contains_key(request.id())
+                        && self.placement_plan(request).is_some()
+                });
+                if let Some(departure) = departure {
                     self.advance_clock(event.time(), tel);
                     self.advance_clock(departure.time(), tel);
                     self.counters.admitted += 1;
@@ -772,16 +737,7 @@ impl Controller {
                 }
             }
             let tick = matches!(event.event(), ChurnEvent::ReoptimizeTick);
-            let (time, event) = event.into_parts();
-            self.advance_clock(time, tel);
-            match event {
-                ChurnEvent::Arrival(request) => {
-                    self.admit_owned(request, tel);
-                }
-                other => {
-                    self.dispatch(&other, tel);
-                }
-            }
+            self.apply(event, tel);
             if tick {
                 ended_on_tick = true;
                 self.post_event(true, tel);
@@ -797,15 +753,10 @@ impl Controller {
     /// Closes a run at `horizon`: re-offers any retries still due before
     /// it and accounts for the quiet tail between the last event and the
     /// horizon, so the time-weighted mean covers the whole run. Callers
-    /// driving [`handle`](Self::handle) event by event should call this
-    /// once at the end; [`run_trace`](Self::run_trace) does it
-    /// automatically.
-    pub fn finish(&mut self, horizon: f64) {
-        self.finish_traced(horizon, &mut Telemetry::disabled());
-    }
-
-    /// [`finish`](Self::finish) with a telemetry session observing the
-    /// closing retry drain.
+    /// driving [`handle`](Self::handle) or [`ingest`](Self::ingest) event
+    /// by event call this once at the end (with
+    /// `&mut Telemetry::disabled()` when untraced); the `run_stream*`
+    /// methods do it automatically.
     pub fn finish_traced(&mut self, horizon: f64, tel: &mut Telemetry) {
         self.offer_due_retries(horizon, tel);
         if horizon > self.clock {
@@ -832,19 +783,8 @@ impl Controller {
             self.counters.retries_attempted += 1;
             match self.placement_plan(&request) {
                 Some(placements) => {
-                    for &(vnf, k) in &placements {
-                        self.state
-                            .add_request(
-                                vnf,
-                                k,
-                                request.id(),
-                                request.arrival_rate(),
-                                request.delivery(),
-                            )
-                            .expect("placement was validated against the ledger");
-                    }
                     let id = request.id();
-                    self.active.insert(request);
+                    self.occupy(request, &placements);
                     self.counters.retry_admitted += 1;
                     tel.emit(self.clock, self.counters.ticks, || {
                         EventKind::RetryAdmitted {
@@ -982,21 +922,21 @@ impl Controller {
     /// the arrival (or, under [`ShedPolicy::EvictLargest`], make room once
     /// per hop) if any hop would be driven to `ρ ≥ 1`. Evictions are
     /// applied eagerly as hops are scanned and are *not* rolled back if a
-    /// later hop still fails — the shed requests are gone either way.
-    fn admit(&mut self, request: &Request, tel: &mut Telemetry) -> EventOutcome {
-        match self.plan_admission(request, tel) {
-            Ok(placements) => self.commit_admission(request.clone(), placements, tel),
-            Err(outcome) => outcome,
-        }
-    }
-
-    /// [`admit`](Self::admit) without the final clone: the request is moved
-    /// into the active set. Outcome-identical to the borrowing path.
-    fn admit_owned(&mut self, request: Request, tel: &mut Telemetry) -> EventOutcome {
-        match self.plan_admission(&request, tel) {
-            Ok(placements) => self.commit_admission(request, placements, tel),
-            Err(outcome) => outcome,
-        }
+    /// later hop still fails — the shed requests are gone either way. An
+    /// admitted request moves into the active set.
+    fn admit(&mut self, request: Request, tel: &mut Telemetry) -> EventOutcome {
+        let placements = match self.plan_admission(&request, tel) {
+            Ok(placements) => placements,
+            Err(outcome) => return outcome,
+        };
+        let id = request.id();
+        self.occupy(request, &placements);
+        self.counters.admitted += 1;
+        tel.emit(self.clock, self.counters.ticks, || EventKind::Admit {
+            request: id,
+            hops: placements.len() as u64,
+        });
+        EventOutcome::Admitted { placements }
     }
 
     /// The checking half of admission: one `(vnf, instance)` per chain hop
@@ -1062,15 +1002,11 @@ impl Controller {
         Ok(placements)
     }
 
-    /// The mutating half of admission: writes the validated placements
-    /// into the ledger and moves the request into the active set.
-    fn commit_admission(
-        &mut self,
-        request: Request,
-        placements: Vec<(VnfId, usize)>,
-        tel: &mut Telemetry,
-    ) -> EventOutcome {
-        for &(vnf, k) in &placements {
+    /// Writes validated placements into the ledger and moves the request
+    /// into the active set — the one ledger write behind both arrivals
+    /// and retry re-admissions.
+    fn occupy(&mut self, request: Request, placements: &[(VnfId, usize)]) {
+        for &(vnf, k) in placements {
             self.state
                 .add_request(
                     vnf,
@@ -1081,14 +1017,7 @@ impl Controller {
                 )
                 .expect("placement was validated against the ledger");
         }
-        let id = request.id();
         self.active.insert(request);
-        self.counters.admitted += 1;
-        tel.emit(self.clock, self.counters.ticks, || EventKind::Admit {
-            request: id,
-            hops: placements.len() as u64,
-        });
-        EventOutcome::Admitted { placements }
     }
 
     /// A non-mutating admission check for retries: the least-loaded up
@@ -1406,98 +1335,90 @@ impl Controller {
     /// latency hysteresis, because restoring availability is the point.
     /// Returns `(instances_added, relocations)`.
     fn emergency_replace(&mut self, tel: &mut Telemetry) -> (u64, u64) {
-        if self.config.emergency.is_none() || self.cluster.is_none() {
+        let (Some(ec), Some(cluster)) = (self.config.emergency, self.cluster.as_ref()) else {
             return (0, 0);
-        }
+        };
         let token = tel.begin();
-        let result = self.emergency_replace_inner();
+        let (mut grows, _) = self.instance_targets(ec.headroom, None, ec.max_instance_ops);
+        let mut rng = StdRng::seed_from_u64(ec.seed ^ self.counters.node_downs);
+        let (assignment, relocated) = fit_grows(
+            cluster,
+            &self.state,
+            &mut grows,
+            0,
+            ec.max_instance_ops,
+            &mut rng,
+        );
+        let result = if grows.is_empty() && relocated.is_empty() {
+            // Nothing needed, or not even a pure relocation fits the
+            // surviving fleet: retries wait for the node to return.
+            (0, 0)
+        } else {
+            for &vnf in &grows {
+                self.state.add_instance(vnf).expect("vnf exists");
+            }
+            self.commit_assignment(assignment);
+            self.counters.instances_added += grows.len() as u64;
+            self.counters.relocations += relocated.len() as u64;
+            self.counters.emergency_replaces += 1;
+            (grows.len() as u64, relocated.len() as u64)
+        };
         tel.end(Phase::EmergencyReplace, token);
         result
     }
 
-    fn emergency_replace_inner(&mut self) -> (u64, u64) {
-        let Some(ec) = self.config.emergency else {
-            return (0, 0);
-        };
-        let Some(cluster) = self.cluster.clone() else {
-            return (0, 0);
-        };
+    /// ρ-headroom instance targets from live inflated rates, as unit
+    /// operations: one grow per instance a VNF lacks to keep
+    /// `λ ≤ headroom·μ` per instance, ranked by overload ratio
+    /// (descending, id ascending on ties), and — when `shrink_below` is
+    /// set — one shrink per surplus instance of a VNF loaded below that
+    /// ratio, in id order. Grows take the op budget first; shrinks get
+    /// what is left.
+    fn instance_targets(
+        &self,
+        headroom: f64,
+        shrink_below: Option<f64>,
+        max_ops: usize,
+    ) -> (Vec<VnfId>, Vec<VnfId>) {
         let mut grow_candidates: Vec<(f64, VnfId)> = Vec::new();
-        for vnf in self.state.vnf_ids().collect::<Vec<_>>() {
+        let mut shrinks: Vec<VnfId> = Vec::new();
+        for vnf in self.state.vnf_ids() {
             let m = self.state.instances(vnf);
             if m == 0 {
                 continue;
             }
-            let mu = self.state.service_rate(vnf).expect("vnf exists").value();
+            let Some(mu) = self.state.service_rate(vnf).map(|s| s.value()) else {
+                continue;
+            };
+            // Targets provision for the retry backlog too: that traffic
+            // re-offers as soon as capacity returns (zero without a retry
+            // queue).
             let lambda = self.state.total_sum(vnf) + self.retry.pending_rate(vnf);
             let needed = {
-                let raw = (lambda / (ec.headroom * mu)).ceil();
+                let raw = (lambda / (headroom * mu)).ceil();
                 if raw.is_finite() && raw >= 1.0 {
                     raw as usize
                 } else {
                     1
                 }
             };
+            let ratio = lambda / (m as f64 * mu);
             if needed > m {
-                let ratio = lambda / (m as f64 * mu);
-                for _ in m..needed {
-                    grow_candidates.push((ratio, vnf));
-                }
+                grow_candidates.extend(std::iter::repeat_n((ratio, vnf), needed - m));
+            } else if m > needed
+                && shrink_below.is_some_and(|low| ratio < low)
+                && !self.state.host_down(vnf)
+            {
+                // A host-down VNF always looks idle; don't retire the
+                // instances it will need back after relocation/recovery.
+                shrinks.extend(std::iter::repeat_n(vnf, m - needed));
             }
         }
         grow_candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut grows: Vec<VnfId> = grow_candidates.into_iter().map(|(_, v)| v).collect();
-        grows.truncate(ec.max_instance_ops);
-
-        let effective = cluster.effective_nodes();
-        let mut rng = StdRng::seed_from_u64(ec.seed ^ self.counters.node_downs);
-        let (assignment, relocated) = loop {
-            let grown = build_vnfs(&cluster.protos, &|id| {
-                self.state.instances(id) + grows.iter().filter(|&&g| g == id).count()
-            });
-            let Ok(problem) = PlacementProblem::new(effective.clone(), grown) else {
-                if grows.pop().is_none() {
-                    return (0, 0);
-                }
-                continue;
-            };
-            if fits_in_place(&problem, &cluster.assignment) {
-                break (cluster.assignment.clone(), Vec::new());
-            }
-            let current = build_vnfs(&cluster.protos, &|id| self.state.instances(id));
-            // The prior is validated against the *full-capacity* fleet:
-            // the live assignment still maps the stranded VNFs onto the
-            // dark node, which the zero-capacity problem would reject.
-            let prior = PlacementProblem::new(cluster.nodes.clone(), current)
-                .ok()
-                .and_then(|p| Placement::new(&p, cluster.assignment.clone()).ok())
-                .expect("the live assignment is valid for the live counts");
-            match Bfdsu::new().place_delta(&problem, &prior, &mut rng) {
-                Ok(delta) if grows.len() + delta.moved().len() <= ec.max_instance_ops => {
-                    let moved = delta.moved().to_vec();
-                    break (delta.into_placement().assignment().to_vec(), moved);
-                }
-                _ => {
-                    if grows.pop().is_none() {
-                        // Not even a pure relocation fits the surviving
-                        // fleet: degrade gracefully and let retries wait
-                        // for the node to return.
-                        return (0, 0);
-                    }
-                }
-            }
-        };
-        if grows.is_empty() && relocated.is_empty() {
-            return (0, 0);
-        }
-        for &vnf in &grows {
-            self.state.add_instance(vnf).expect("vnf exists");
-        }
-        self.commit_assignment(assignment);
-        self.counters.instances_added += grows.len() as u64;
-        self.counters.relocations += relocated.len() as u64;
-        self.counters.emergency_replaces += 1;
-        (grows.len() as u64, relocated.len() as u64)
+        grows.truncate(max_ops);
+        shrinks.truncate(max_ops - grows.len());
+        (grows, shrinks)
     }
 
     /// Adopts a (possibly repacked) VNF→node assignment and recomputes
@@ -1753,54 +1674,13 @@ impl Controller {
     /// `(instances_added, instances_retired, relocations)`.
     #[allow(clippy::too_many_lines)]
     fn replace_phase(&mut self, tel: &mut Telemetry) -> (u64, u64, u64) {
-        let rc = self.config.replace.expect("caller checked replace config");
-        let cluster = self.cluster.clone().expect("caller checked cluster");
+        let (Some(rc), Some(cluster)) = (self.config.replace, self.cluster.as_ref()) else {
+            return (0, 0, 0);
+        };
 
-        // Phase 1: ρ-headroom targets from live inflated rates, turned
-        // into unit grow/shrink candidates. Grows are ranked by overload
-        // ratio (descending, id ascending on ties); shrinks follow in id
-        // order. The combined list is truncated to the budget `K`.
-        let mut grow_candidates: Vec<(f64, VnfId)> = Vec::new();
-        let mut shrinks: Vec<VnfId> = Vec::new();
-        for vnf in self.state.vnf_ids().collect::<Vec<_>>() {
-            let m = self.state.instances(vnf);
-            if m == 0 {
-                continue;
-            }
-            let mu = self.state.service_rate(vnf).expect("vnf exists").value();
-            // Targets provision for the retry backlog too: that traffic
-            // re-offers as soon as capacity returns (zero without a retry
-            // queue).
-            let lambda = self.state.total_sum(vnf) + self.retry.pending_rate(vnf);
-            let needed = {
-                let raw = (lambda / (rc.headroom * mu)).ceil();
-                if raw.is_finite() && raw >= 1.0 {
-                    raw as usize
-                } else {
-                    1
-                }
-            };
-            let ratio = lambda / (m as f64 * mu);
-            if needed > m {
-                for _ in m..needed {
-                    grow_candidates.push((ratio, vnf));
-                }
-            } else if m > needed && ratio < rc.shrink_headroom && !self.state.host_down(vnf) {
-                // A host-down VNF always looks idle; don't retire the
-                // instances it will need back after relocation/recovery.
-                for _ in needed..m {
-                    shrinks.push(vnf);
-                }
-            }
-        }
-        grow_candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut grows: Vec<VnfId> = grow_candidates.into_iter().map(|(_, v)| v).collect();
-        if grows.len() >= rc.max_instance_ops {
-            grows.truncate(rc.max_instance_ops);
-            shrinks.clear();
-        } else {
-            shrinks.truncate(rc.max_instance_ops - grows.len());
-        }
+        // Phase 1: ρ-headroom targets, truncated to the budget `K`.
+        let (mut grows, shrinks) =
+            self.instance_targets(rc.headroom, Some(rc.shrink_headroom), rc.max_instance_ops);
         if grows.is_empty() && shrinks.is_empty() {
             return (0, 0, 0);
         }
@@ -1862,55 +1742,21 @@ impl Controller {
             }
         }
 
-        // Phase 3: feasibility of the grown fleet on the physical cluster
-        // — dark nodes contribute zero capacity, so VNFs stranded on them
-        // become misfits and relocate here even without emergency
-        // handling. If the desired counts fit on the current assignment,
-        // nothing relocates; otherwise the incremental BFDSU repacks, and
-        // the plan must still fit the op budget (each relocation costs
-        // one unit) — when it does not, the lowest-priority grow is
-        // dropped and the fit is retried. The per-tick RNG is derived
-        // from the tick count, so runs are bit-identical at any thread
-        // count.
+        // Phase 3: fit the grown fleet onto the physical cluster within
+        // what the retirements left of the op budget — dark nodes count
+        // as full, so VNFs stranded on them relocate here even without
+        // emergency handling. The per-tick RNG is derived from the tick
+        // count, so runs are bit-identical at any thread count.
         let mut rng = StdRng::seed_from_u64(rc.seed ^ self.counters.ticks);
-        let effective = cluster.effective_nodes();
         let fit_token = tel.begin();
-        let (assignment, relocated) = loop {
-            let grown = build_vnfs(&cluster.protos, &|id| {
-                preview.instances(id) + grows.iter().filter(|&&g| g == id).count()
-            });
-            let Ok(problem) = PlacementProblem::new(effective.clone(), grown) else {
-                if grows.pop().is_none() {
-                    break (cluster.assignment.clone(), Vec::new());
-                }
-                continue;
-            };
-            if fits_in_place(&problem, &cluster.assignment) {
-                break (cluster.assignment.clone(), Vec::new());
-            }
-            let current = build_vnfs(&cluster.protos, &|id| preview.instances(id));
-            // The prior is validated against the *full-capacity* fleet:
-            // the live assignment may still map VNFs onto a dark node,
-            // which the zero-capacity problem would reject.
-            let prior = PlacementProblem::new(cluster.nodes.clone(), current)
-                .ok()
-                .and_then(|p| Placement::new(&p, cluster.assignment.clone()).ok())
-                .expect("the live assignment is valid for the live counts");
-            match Bfdsu::new().place_delta(&problem, &prior, &mut rng) {
-                Ok(delta)
-                    if applied_shrinks.len() + grows.len() + delta.moved().len()
-                        <= rc.max_instance_ops =>
-                {
-                    let moved = delta.moved().to_vec();
-                    break (delta.into_placement().assignment().to_vec(), moved);
-                }
-                _ => {
-                    if grows.pop().is_none() {
-                        break (cluster.assignment.clone(), Vec::new());
-                    }
-                }
-            }
-        };
+        let (assignment, relocated) = fit_grows(
+            cluster,
+            &preview,
+            &mut grows,
+            applied_shrinks.len(),
+            rc.max_instance_ops,
+            &mut rng,
+        );
         tel.end(Phase::PlaceDelta, fit_token);
         if grows.is_empty() && applied_shrinks.is_empty() && relocated.is_empty() {
             return (0, 0, 0);
@@ -1971,7 +1817,6 @@ impl Controller {
         let retired = applied_shrinks.len() as u64;
         let moved = relocated.len() as u64;
         self.state = preview;
-        self.cluster = Some(cluster);
         self.commit_assignment(assignment);
         self.counters.migrated_replace += drained_total;
         self.counters.instances_added += added;
@@ -2163,6 +2008,55 @@ fn build_vnfs(protos: &[Vnf], count_of: &dyn Fn(VnfId) -> usize) -> Vec<Vnf> {
         .collect()
 }
 
+/// The fit-within-budget loop shared by the tick's re-placement phase
+/// and emergency re-placement. Grows `counts` (the live ledger or a
+/// preview) by `grows` and fits the fleet onto the cluster's surviving
+/// capacity. If it fits the current assignment nothing relocates;
+/// otherwise the incremental BFDSU repacks, and the plan must fit
+/// `max_ops` after the `spent` ops already used (each relocation costs
+/// one). When it does not, the lowest-priority grow is dropped and the
+/// fit retried; with no grow left the current assignment stands. Returns
+/// the assignment to adopt and the relocated VNFs.
+fn fit_grows(
+    cluster: &Cluster,
+    counts: &ControllerState,
+    grows: &mut Vec<VnfId>,
+    spent: usize,
+    max_ops: usize,
+    rng: &mut StdRng,
+) -> (Vec<NodeId>, Vec<VnfId>) {
+    let effective = cluster.effective_nodes();
+    // The prior is validated against the *full-capacity* fleet: the live
+    // assignment may still map VNFs onto a dark node, which the
+    // zero-capacity problem would reject.
+    let current = build_vnfs(&cluster.protos, &|id| counts.instances(id));
+    let prior = PlacementProblem::new(cluster.nodes.clone(), current)
+        .ok()
+        .and_then(|p| Placement::new(&p, cluster.assignment.clone()).ok());
+    loop {
+        let grown = build_vnfs(&cluster.protos, &|id| {
+            counts.instances(id) + grows.iter().filter(|&&g| g == id).count()
+        });
+        if let Ok(problem) = PlacementProblem::new(effective.clone(), grown) {
+            if fits_in_place(&problem, &cluster.assignment) {
+                return (cluster.assignment.clone(), Vec::new());
+            }
+            if let Some(Ok(delta)) = prior
+                .as_ref()
+                .map(|prior| Bfdsu::new().place_delta(&problem, prior, rng))
+            {
+                if spent + grows.len() + delta.moved().len() <= max_ops {
+                    let moved = delta.moved().to_vec();
+                    return (delta.into_placement().assignment().to_vec(), moved);
+                }
+            }
+        }
+        if grows.pop().is_none() {
+            return (cluster.assignment.clone(), Vec::new());
+        }
+    }
+}
+
 /// Whether `assignment` stays within every node's capacity — delegates to
 /// the placement validator, so the tolerance is identical everywhere an
 /// assignment is checked.
@@ -2174,7 +2068,7 @@ fn fits_in_place(problem: &PlacementProblem, assignment: &[NodeId]) -> bool {
 mod tests {
     use super::*;
     use nfv_model::{ArrivalRate, DeliveryProbability, ServiceChain};
-    use nfv_workload::churn::ChurnTraceBuilder;
+    use nfv_workload::churn::{ChurnTrace, ChurnTraceBuilder};
     use nfv_workload::{ScenarioBuilder, ServiceRatePolicy};
 
     fn scenario() -> Scenario {
@@ -2193,11 +2087,29 @@ mod tests {
         ChurnTraceBuilder::new().horizon(50.0).build(s).unwrap()
     }
 
+    /// Replays a materialized trace through the per-event path.
+    fn replay(c: &mut Controller, trace: &ChurnTrace) -> ControllerReport {
+        c.run_stream(trace.events().iter().cloned(), trace.horizon())
+    }
+
+    /// [`replay`] under a telemetry session, through `handle_traced`.
+    fn traced_replay(
+        c: &mut Controller,
+        trace: &ChurnTrace,
+        tel: &mut Telemetry,
+    ) -> ControllerReport {
+        for event in trace {
+            c.handle_traced(event, tel);
+        }
+        c.finish_traced(trace.horizon(), tel);
+        c.report()
+    }
+
     #[test]
     fn base_population_is_admitted_without_rejections() {
         let s = scenario();
         let mut controller = Controller::new(&s, ControllerConfig::online_only());
-        let report = controller.run_trace(&base_trace(&s));
+        let report = replay(&mut controller, &base_trace(&s));
         assert_eq!(report.admitted, s.requests().len() as u64);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.active, s.requests().len() as u64);
@@ -2209,7 +2121,7 @@ mod tests {
     fn departures_empty_the_system() {
         let s = scenario();
         let mut controller = Controller::new(&s, ControllerConfig::online_only());
-        controller.run_trace(&base_trace(&s));
+        replay(&mut controller, &base_trace(&s));
         let mut t = 1.0;
         for request in s.requests() {
             let event = TimedEvent::new(t, ChurnEvent::Departure(request.id()));
@@ -2228,7 +2140,7 @@ mod tests {
     fn saturating_arrivals_are_rejected_with_typed_reason() {
         let s = scenario();
         let mut controller = Controller::new(&s, ControllerConfig::online_only());
-        controller.run_trace(&base_trace(&s));
+        replay(&mut controller, &base_trace(&s));
         // A single request bigger than any instance's total capacity.
         let vnf = &s.vnfs()[0];
         let monster = Request::new(
@@ -2249,7 +2161,7 @@ mod tests {
     fn instance_down_fails_over_and_up_restores_dispatch() {
         let s = scenario();
         let mut controller = Controller::new(&s, ControllerConfig::online_only());
-        controller.run_trace(&base_trace(&s));
+        replay(&mut controller, &base_trace(&s));
         let vnf = s
             .vnfs()
             .iter()
@@ -2285,7 +2197,7 @@ mod tests {
     fn ticks_are_ignored_without_reopt_config() {
         let s = scenario();
         let mut controller = Controller::new(&s, ControllerConfig::online_only());
-        controller.run_trace(&base_trace(&s));
+        replay(&mut controller, &base_trace(&s));
         let outcome = controller.handle(&TimedEvent::new(1.0, ChurnEvent::ReoptimizeTick));
         assert_eq!(outcome, EventOutcome::TickIgnored);
         assert_eq!(controller.report().ticks, 1);
@@ -2296,7 +2208,7 @@ mod tests {
     fn oracle_tick_rebalances_to_rckk() {
         let s = scenario();
         let mut controller = Controller::new(&s, ControllerConfig::offline_oracle());
-        controller.run_trace(&base_trace(&s));
+        replay(&mut controller, &base_trace(&s));
         let before = controller.state().predicted_latency();
         let outcome = controller.handle(&TimedEvent::new(1.0, ChurnEvent::ReoptimizeTick));
         match outcome {
@@ -2477,7 +2389,7 @@ mod tests {
             ..ControllerConfig::online_only()
         };
         let mut controller = Controller::with_cluster(&s, nodes, &placement, config).unwrap();
-        controller.run_trace(&base_trace(&s));
+        replay(&mut controller, &base_trace(&s));
         let outcome = controller.handle(&TimedEvent::new(1.0, ChurnEvent::ReoptimizeTick));
         match outcome {
             EventOutcome::Reoptimized { relocations, .. } => {
@@ -2520,7 +2432,7 @@ mod tests {
                 ControllerConfig::refined(),
             )
             .unwrap();
-            let report = c.run_trace_traced(&trace, tel);
+            let report = traced_replay(&mut c, &trace, tel);
             (c, report)
         };
         let (plain, plain_report) = run(&mut Telemetry::disabled());
@@ -2573,7 +2485,7 @@ mod tests {
             let mut c =
                 Controller::with_cluster(&s, nodes, &placement, ControllerConfig::joint_reopt())
                     .unwrap();
-            c.run_trace(&trace);
+            replay(&mut c, &trace);
             c
         };
         let a = run(nodes.clone());
@@ -2593,7 +2505,7 @@ mod tests {
             .build(&s)
             .unwrap();
         let mut controller = Controller::new(&s, ControllerConfig::periodic_reopt());
-        controller.run_trace(&trace);
+        replay(&mut controller, &trace);
         let latency = controller.latency_histogram(8).unwrap();
         assert_eq!(latency.count() as usize, trace.len());
         assert!(controller.utilization_histogram(8).is_some());
@@ -2615,15 +2527,13 @@ mod tests {
             .seed(9)
             .build(&s)
             .unwrap();
+        let build = || {
+            Controller::with_cluster(&s, nodes.clone(), &placement, ControllerConfig::resilient())
+                .unwrap()
+        };
         let run = |tel: &mut Telemetry| {
-            let mut c = Controller::with_cluster(
-                &s,
-                nodes.clone(),
-                &placement,
-                ControllerConfig::resilient(),
-            )
-            .unwrap();
-            let report = c.run_trace_traced(&trace, tel);
+            let mut c = build();
+            let report = traced_replay(&mut c, &trace, tel);
             (c, report)
         };
         let (plain, plain_report) = run(&mut Telemetry::disabled());
@@ -2632,7 +2542,23 @@ mod tests {
         assert_eq!(plain, traced, "telemetry must not change any decision");
         assert_eq!(plain_report, traced_report);
 
+        // The owned entry point the fleet drains through is the same
+        // path: same controller, report and journal bytes.
+        let mut owned = build();
+        let mut owned_tel = Telemetry::enabled();
+        for event in trace.events().iter().cloned() {
+            owned.ingest(event, &mut owned_tel);
+        }
+        owned.finish_traced(trace.horizon(), &mut owned_tel);
+        assert_eq!(owned, traced, "ingest decides exactly like handle_traced");
+        assert_eq!(owned.report(), traced_report);
+
         let artifacts = tel.finish();
+        assert_eq!(
+            owned_tel.finish().journal_jsonl(),
+            artifacts.journal_jsonl(),
+            "ingest journals exactly like handle_traced"
+        );
         assert!(!artifacts.events.is_empty());
         assert!(artifacts
             .events
@@ -2664,7 +2590,7 @@ mod tests {
         let mut c =
             Controller::with_cluster(&s, nodes, &placement, ControllerConfig::resilient()).unwrap();
         let mut tel = Telemetry::enabled();
-        let report = c.run_trace_traced(&trace, &mut tel);
+        let report = traced_replay(&mut c, &trace, &mut tel);
         assert!(report.node_downs > 0, "the trace contains node outages");
         let events = tel.finish().events;
         let downs: Vec<usize> = events

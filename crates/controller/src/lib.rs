@@ -53,14 +53,19 @@
 //! trace's virtual clock and never consults wall-clock time or ambient
 //! randomness, so two same-seed runs produce identical reports.
 //!
-//! Observability: every event method has a `*_traced` variant threading
-//! an `nfv_telemetry::Telemetry` session through the loop
-//! ([`Controller::handle_traced`], [`Controller::run_trace_traced`]).
-//! Telemetry is a strict observer — the traced variants with
-//! `Telemetry::disabled()` are exactly the plain ones, and enabled
-//! telemetry never changes a decision, draws randomness, or advances
-//! virtual time, so results are bit-identical with telemetry on or off
-//! (pinned by the thread-invariance tests in `nfv-core`).
+//! Ingestion: every entry point — [`Controller::handle`],
+//! [`Controller::handle_traced`], the owned [`Controller::ingest`],
+//! [`Controller::run_stream`] and the batched
+//! [`Controller::run_stream_batched`] /
+//! [`Controller::run_stream_batched_traced`] — is a thin wrapper over one
+//! private event core, and [`Controller::finish_traced`] closes a run.
+//!
+//! Observability: the core threads an `nfv_telemetry::Telemetry` session
+//! through the loop. Telemetry is a strict observer — an entry point
+//! called with `Telemetry::disabled()` is exactly its untraced twin, and
+//! enabled telemetry never changes a decision, draws randomness, or
+//! advances virtual time, so results are bit-identical with telemetry on
+//! or off (pinned by the thread-invariance tests in `nfv-core`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,6 +4,7 @@
 use nfv_controller::{Controller, ControllerConfig, EventOutcome};
 use nfv_model::{Capacity, ComputeNode, NodeId, VnfId};
 use nfv_placement::{Bfdsu, Placement, PlacementProblem, Placer};
+use nfv_telemetry::Telemetry;
 use nfv_workload::churn::{ChurnEvent, TimedEvent};
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy};
 use rand::rngs::StdRng;
@@ -95,7 +96,7 @@ fn single_node_outage_sheds_everything_and_retries_recover_it() {
 
     // Draining the retry queue re-admits the entire shed population well
     // within the backoff budget.
-    controller.finish(200.0);
+    controller.finish_traced(200.0, &mut Telemetry::disabled());
     let report = controller.report();
     assert_eq!(report.admitted, population, "first offers only");
     assert_eq!(report.shed, population);

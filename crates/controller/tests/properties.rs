@@ -32,7 +32,7 @@ fn pure_arrival_run_matches_online_least_loaded() {
         let s = scenario(seed);
         let trace = ChurnTraceBuilder::new().horizon(10.0).build(&s).unwrap();
         let mut controller = Controller::new(&s, ControllerConfig::online_only());
-        let report = controller.run_trace(&trace);
+        let report = controller.run_stream(trace.events().iter().cloned(), trace.horizon());
         assert_eq!(report.rejected, 0, "scenario must have admission headroom");
 
         for vnf in s.vnfs() {
@@ -74,7 +74,7 @@ fn zero_churn_single_tick_matches_offline_rckk() {
             ..ControllerConfig::online_only()
         };
         let mut controller = Controller::new(&s, config);
-        let report = controller.run_trace(&trace);
+        let report = controller.run_stream(trace.events().iter().cloned(), trace.horizon());
         assert_eq!(report.rejected, 0);
         assert!(report.reopts_applied >= 1 || report.reopts_skipped >= 1);
 
@@ -117,7 +117,7 @@ fn same_seed_runs_are_identical() {
             .build(&s)
             .unwrap();
         let mut controller = Controller::new(&s, ControllerConfig::periodic_reopt());
-        let report = controller.run_trace(&trace);
+        let report = controller.run_stream(trace.events().iter().cloned(), trace.horizon());
         (report, controller.snapshots().to_vec())
     };
     let (report_a, snaps_a) = run();

@@ -4,6 +4,7 @@
 use nfv_controller::{Controller, ControllerConfig, EventOutcome};
 use nfv_model::{Capacity, ComputeNode, NodeId};
 use nfv_placement::{Bfdsu, Placement, PlacementProblem, Placer};
+use nfv_telemetry::Telemetry;
 use nfv_workload::churn::{ChurnEvent, TimedEvent};
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy};
 use rand::rngs::StdRng;
@@ -64,7 +65,7 @@ fn departed_while_queued_request_is_resurrected_forever() {
     // Node returns at t=6; the retry queue then re-admits requests whose
     // lifetimes already ended.
     controller.handle(&TimedEvent::new(6.0, ChurnEvent::NodeUp { node }));
-    controller.finish(500.0);
+    controller.finish_traced(500.0, &mut Telemetry::disabled());
 
     let report = controller.report();
     println!(

@@ -16,6 +16,7 @@ use nfv_model::{
     ServiceChain, VnfId,
 };
 use nfv_placement::{Bfdsu, Placement, PlacementProblem, Placer};
+use nfv_telemetry::Telemetry;
 use nfv_workload::churn::{ChurnEvent, ChurnTraceBuilder, TimedEvent};
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy};
 use rand::rngs::StdRng;
@@ -85,8 +86,8 @@ fn assert_split_equivalence(
     // Run both far past the horizon so every queued retry comes due: any
     // difference in wheel pop order, backoff jitter, or attempt counters
     // would desynchronize the retry counters and the final report.
-    original.finish(horizon + 200.0);
-    restored.finish(horizon + 200.0);
+    original.finish_traced(horizon + 200.0, &mut Telemetry::disabled());
+    restored.finish_traced(horizon + 200.0, &mut Telemetry::disabled());
     assert_eq!(restored.report(), original.report(), "final report");
     assert_eq!(restored.state(), original.state(), "final ledger");
     assert_eq!(
@@ -274,8 +275,8 @@ mod random_histories {
             }
             // Flush every pending retry: identical pop order is required
             // for the retry counters and reports to stay in lockstep.
-            original.finish(time + 500.0);
-            restored.finish(time + 500.0);
+            original.finish_traced(time + 500.0, &mut Telemetry::disabled());
+            restored.finish_traced(time + 500.0, &mut Telemetry::disabled());
             prop_assert_eq!(restored.report(), original.report());
             prop_assert_eq!(restored.state(), original.state());
             prop_assert_eq!(

@@ -244,7 +244,7 @@ pub fn refiner_replay(seed: u64) -> Result<ChurnComparison, CoreError> {
     ];
     let outcomes = par_map(controllers, |_, (name, mut controller)| ChurnOutcome {
         policy: name.to_string(),
-        report: controller.run_trace(&trace),
+        report: controller.run_stream(trace.events().iter().cloned(), trace.horizon()),
     })
     .map_err(CoreError::from)?;
     Ok(ChurnComparison {

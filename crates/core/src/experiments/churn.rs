@@ -301,7 +301,11 @@ fn run_inner(
         } else {
             Telemetry::disabled()
         };
-        let report = controller.run_trace_traced(&trace, &mut tel);
+        for event in &trace {
+            controller.handle_traced(event, &mut tel);
+        }
+        controller.finish_traced(trace.horizon(), &mut tel);
+        let report = controller.report();
         (
             ChurnOutcome {
                 policy: name.to_string(),
@@ -387,7 +391,7 @@ mod tests {
         let k = config.replace.unwrap().max_instance_ops as u64;
         let mut controller =
             Controller::with_cluster(&scenario, nodes, &placement, config).unwrap();
-        controller.run_trace(&trace);
+        controller.run_stream(trace.events().iter().cloned(), trace.horizon());
         assert!(!controller.snapshots().is_empty());
         let mut prev = 0u64;
         for snapshot in controller.snapshots() {

@@ -8,8 +8,8 @@
 //! as a `Vec`) and pushed through two ingestion paths:
 //!
 //! * **streamed** — [`Controller::run_stream`], the exact per-event path:
-//!   bit-identical decisions and samples to a materialized
-//!   [`run_trace`](Controller::run_trace) replay;
+//!   bit-identical decisions and samples whether the trace is streamed or
+//!   materialized first;
 //! * **batched** — [`Controller::run_stream_batched`], which drains one
 //!   tick's worth of events at a time, coalesces flash
 //!   arrival/departure pairs without touching the ledger, and samples the
@@ -137,7 +137,7 @@ mod tests {
         let (scenario, builder) = setup(&point, 7).unwrap();
         let trace = builder.build(&scenario).unwrap();
         let mut materialized = Controller::new(&scenario, ControllerConfig::online_only());
-        let from_trace = materialized.run_trace(&trace);
+        let from_trace = materialized.run_stream(trace.events().iter().cloned(), trace.horizon());
         let mut streamed = Controller::new(&scenario, ControllerConfig::online_only());
         let from_stream = streamed.run_stream(builder.stream(&scenario).unwrap(), point.horizon);
         assert_eq!(from_trace, from_stream);

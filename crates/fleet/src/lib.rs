@@ -19,8 +19,10 @@
 //!   parallel *drain* phase empties them. Backpressure is part of the
 //!   deterministic schedule, not an accident of timing.
 //! - **Shards** ([`Shard`]) — disjoint tenant sets drained concurrently
-//!   via `par_map_indexed`, results folded in shard-id order, so thread
-//!   count never changes an outcome.
+//!   on the pool, results folded in shard-id order, so thread count never
+//!   changes an outcome. Every drain is supervised: each shard task runs
+//!   under [`nfv_parallel::catch_task`], so a panicking worker's shard
+//!   survives the unwind.
 //! - **Epochs** — the virtual clock advances in fixed steps; every event
 //!   with `time ≤ boundary` is pumped and drained (possibly over several
 //!   backpressure rounds) before the fleet crosses the boundary.
@@ -40,9 +42,11 @@
 //! each installed tenant is checkpointed ([`TenantSlot`] →
 //! [`SlotCheckpoint`]: controller snapshot + telemetry cursor +
 //! processed count) and every event pumped during the epoch is recorded
-//! in a per-tenant replay log. A worker panic mid-drain is contained by
-//! a supervised drain ([`nfv_parallel::catch_task`]); the poisoned shard
-//! is restored from its checkpoints and caught up by replaying its logs.
+//! in a per-tenant replay log. A worker panic mid-drain of a faulted
+//! epoch is contained by the supervised drain; the poisoned shard is
+//! restored from its checkpoints and caught up by replaying its logs (an
+//! epoch without checkpoints has nothing to restore, so a panic there is
+//! a [`FleetError::Pool`]).
 //! Channel drops/duplicates, tenant crashes, and injected conservation
 //! corruption are repaired at the epoch boundary the same way — restore
 //! plus full-epoch replay — so a recoverable faulted run produces a
@@ -64,7 +68,7 @@ mod shard;
 
 use nfv_controller::{Controller, ControllerConfig, ControllerReport};
 use nfv_metrics::Histogram;
-use nfv_parallel::{catch_task, default_threads, derive_seed, par_map_indexed, TaskPanic};
+use nfv_parallel::{catch_task, default_threads, derive_seed, TaskPanic};
 use nfv_telemetry::{
     EventKind, Phase, PhaseProfile, Postmortem, Registry, SpanTree, Stopwatch, Telemetry,
     TelemetryArtifacts, TelemetrySnapshot, TickSeries, FLIGHT_RECORDER_WINDOW,
@@ -899,111 +903,87 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
             if pumped == 0 && buffered == 0 {
                 break;
             }
-            let drained = if chaos_on {
-                // Supervised drain: each worker's panic is contained by
-                // `catch_task`, so the shards (borrowed mutably through
-                // the pool) survive the unwind mid-drain.
-                let inject: Vec<Option<u64>> = shards
-                    .iter()
-                    .map(|s| {
-                        (panic_pending.contains(&s.id()) && s.buffered() > 0)
-                            .then(|| (s.buffered() as u64).div_ceil(2))
+            // Supervised drain: each worker's panic is contained by
+            // `catch_task`, so the shards (borrowed mutably through the
+            // pool) survive the unwind mid-drain.
+            let inject: Vec<Option<u64>> = shards
+                .iter()
+                .map(|s| {
+                    (panic_pending.contains(&s.id()) && s.buffered() > 0)
+                        .then(|| (s.buffered() as u64).div_ceil(2))
+                })
+                .collect();
+            let results = nfv_parallel::par_map_indexed(
+                threads,
+                shards.iter_mut().collect::<Vec<&mut Shard>>(),
+                |i, shard: &mut Shard| {
+                    catch_task(i, || {
+                        if let Some(limit) = inject[i] {
+                            shard.drain_upto(limit);
+                            panic!("injected shard-worker panic");
+                        }
+                        let watch = obs.then(Stopwatch::start);
+                        let drained = shard.drain_round();
+                        (drained, watch.map_or(0.0, |w| w.elapsed_seconds()))
                     })
-                    .collect();
-                let results = par_map_indexed(
-                    threads,
-                    shards.iter_mut().collect::<Vec<&mut Shard>>(),
-                    |i, shard: &mut Shard| {
-                        catch_task(i, || {
-                            if let Some(limit) = inject[i] {
-                                shard.drain_upto(limit);
-                                panic!("injected shard-worker panic");
-                            }
-                            let watch = obs.then(Stopwatch::start);
-                            let drained = shard.drain_round();
-                            (drained, watch.map_or(0.0, |w| w.elapsed_seconds()))
-                        })
-                    },
-                )
-                .map_err(FleetError::Pool)?;
-                let mut drained = 0;
-                for (i, result) in results.into_iter().enumerate() {
-                    match result {
-                        Ok((n, seconds)) => {
-                            drained += n;
-                            drain_seconds[i] += seconds;
-                        }
-                        Err(_panic) => {
-                            // The worker died mid-drain: restore every
-                            // tenant of the poisoned shard from its
-                            // epoch checkpoint, clear its channels, and
-                            // replay the epoch's pumped events so far.
-                            let restore_watch = obs.then(Stopwatch::start);
-                            panic_pending.retain(|&s| s != i);
-                            recovery.faults_injected += 1;
-                            let shard = &mut shards[i];
-                            let first_tenant = shard
-                                .slots()
-                                .first()
-                                .map_or(u64::MAX, |s| u64::from(s.tenant().as_u32()));
-                            chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                                cause: "shard_panic".into(),
-                                shard: i as u64,
-                                tenant: first_tenant,
-                            });
-                            let mut replayed = 0;
-                            let mut delta = 0i64;
-                            for slot in shard.slots_mut() {
-                                let t = slot.tenant().as_usize();
-                                let Some(checkpoint) = checkpoints[t].as_ref() else {
-                                    continue;
-                                };
-                                let before = slot.processed();
-                                slot.restore(checkpoint).map_err(|_| {
-                                    FleetError::RestoreFailed {
-                                        tenant: slot.tenant(),
-                                        epoch,
-                                    }
-                                })?;
-                                replayed += slot.replay(&logs[t]);
-                                delta += slot.processed() as i64 - before as i64;
-                            }
-                            shard.adjust_processed(delta);
-                            recovery.shard_restores += 1;
-                            recovery.events_replayed += replayed;
-                            chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
-                                shard: i as u64,
-                                replayed,
-                            });
-                            // Replay is forward progress for the stall
-                            // guard: the shard's channels are empty now.
-                            drained += replayed;
-                            if let (Some(watch), Some(span)) = (restore_watch, epoch_span) {
-                                spans.accumulate(span, "restore", watch.elapsed_seconds());
-                            }
-                        }
+                },
+            )
+            .map_err(FleetError::Pool)?;
+            let mut drained = 0;
+            for (i, result) in results.into_iter().enumerate() {
+                let panic = match result {
+                    Ok((n, seconds)) => {
+                        drained += n;
+                        drain_seconds[i] += seconds;
+                        continue;
+                    }
+                    Err(panic) => panic,
+                };
+                // An epoch that took no checkpoints has nothing to restore
+                // the poisoned shard to.
+                if !epoch_faulted {
+                    return Err(FleetError::Pool(panic));
+                }
+                // The worker died mid-drain: restore every tenant of the
+                // poisoned shard from its epoch checkpoint, clear its
+                // channels, and replay the epoch's pumped events so far.
+                let restore_watch = obs.then(Stopwatch::start);
+                panic_pending.retain(|&s| s != i);
+                recovery.faults_injected += 1;
+                let shard = &mut shards[i];
+                let first_tenant = shard
+                    .slots()
+                    .first()
+                    .map_or(u64::MAX, |s| u64::from(s.tenant().as_u32()));
+                chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
+                    cause: "shard_panic".into(),
+                    shard: i as u64,
+                    tenant: first_tenant,
+                });
+                let mut replayed = 0;
+                let mut delta = 0i64;
+                for slot in shard.slots_mut() {
+                    let t = slot.tenant().as_usize();
+                    if let Some(checkpoint) = checkpoints[t].as_ref() {
+                        let (n, d) = slot.recover(checkpoint, &logs[t], epoch)?;
+                        replayed += n;
+                        delta += d;
                     }
                 }
-                drained
-            } else {
-                let results = par_map_indexed(threads, shards, |_, mut shard| {
-                    let watch = obs.then(Stopwatch::start);
-                    let drained = shard.drain_round();
-                    let seconds = watch.map_or(0.0, |w| w.elapsed_seconds());
-                    (shard, drained, seconds)
-                })
-                .map_err(FleetError::Pool)?;
-                let mut drained = 0;
-                shards = results
-                    .into_iter()
-                    .map(|(shard, n, seconds)| {
-                        drained += n;
-                        drain_seconds[shard.id()] += seconds;
-                        shard
-                    })
-                    .collect();
-                drained
-            };
+                shard.adjust_processed(delta);
+                recovery.shard_restores += 1;
+                recovery.events_replayed += replayed;
+                chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
+                    shard: i as u64,
+                    replayed,
+                });
+                // Replay is forward progress for the stall guard: the
+                // shard's channels are empty now.
+                drained += replayed;
+                if let (Some(watch), Some(span)) = (restore_watch, epoch_span) {
+                    spans.accumulate(span, "restore", watch.elapsed_seconds());
+                }
+            }
             if pumped == 0 && drained == 0 {
                 // Nothing moved this round but events are still
                 // buffered: the epoch loop would spin forever. Surface
@@ -1097,14 +1077,9 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                         to_quarantine.push((slot.tenant(), "corrupt_checkpoint"));
                         continue;
                     }
-                    let before = slot.processed();
-                    slot.restore(checkpoint)
-                        .map_err(|_| FleetError::RestoreFailed {
-                            tenant: slot.tenant(),
-                            epoch,
-                        })?;
-                    replayed += slot.replay(&logs[t]);
-                    delta += slot.processed() as i64 - before as i64;
+                    let (n, d) = slot.recover(checkpoint, &logs[t], epoch)?;
+                    replayed += n;
+                    delta += d;
                     restored_any = true;
                     recovery.tenant_restores += 1;
                 }

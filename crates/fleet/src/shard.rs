@@ -7,12 +7,13 @@
 //! `nfv-parallel` pool (results folded in shard-id order) is bit-identical
 //! to running them serially.
 
-use nfv_controller::{Controller, ControllerReport, ControllerSnapshot, SnapshotError};
+use nfv_controller::{Controller, ControllerReport, ControllerSnapshot};
 use nfv_telemetry::{Telemetry, TelemetryArtifacts, TelemetrySnapshot};
 use nfv_workload::churn::TimedEvent;
 use nfv_workload::TenantId;
 
 use crate::channel::EventChannel;
+use crate::FleetError;
 
 /// An epoch-boundary checkpoint of one tenant slot: the controller
 /// snapshot, the telemetry cursor, the counter report at capture time,
@@ -109,8 +110,7 @@ impl TenantSlot {
         let Some(event) = self.channel.pop() else {
             return false;
         };
-        self.controller
-            .handle_owned_traced(event, &mut self.telemetry);
+        self.controller.ingest(event, &mut self.telemetry);
         self.processed += 1;
         true
     }
@@ -141,37 +141,43 @@ impl TenantSlot {
         }
     }
 
-    /// Rewinds the slot to a checkpoint: controller, telemetry, and
-    /// processed count restored; the channel cleared (its events are in
-    /// the epoch's replay log); the wedge lifted.
+    /// Rewinds the slot to a checkpoint — controller, telemetry and
+    /// processed count restored, the channel cleared (its events are in
+    /// the epoch's replay log), the wedge lifted — then replays `log`
+    /// straight into the controller to catch up. Returns the events
+    /// replayed and the change to the processed count, which the shard's
+    /// own counter must follow.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] if the controller snapshot does not fit this
-    /// controller (it always fits a checkpoint taken from the same slot).
-    pub(crate) fn restore(&mut self, checkpoint: &SlotCheckpoint) -> Result<(), SnapshotError> {
+    /// [`FleetError::RestoreFailed`] if the controller snapshot does not
+    /// fit this controller (it always fits a checkpoint taken from the
+    /// same slot).
+    pub(crate) fn recover(
+        &mut self,
+        checkpoint: &SlotCheckpoint,
+        log: &[TimedEvent],
+        epoch: u64,
+    ) -> Result<(u64, i64), FleetError> {
         debug_assert_eq!(
             checkpoint.tenant, self.tenant,
             "checkpoints restore into the slot they were taken from"
         );
-        self.controller.restore(&checkpoint.controller)?;
+        let before = self.processed;
+        self.controller
+            .restore(&checkpoint.controller)
+            .map_err(|_| FleetError::RestoreFailed {
+                tenant: self.tenant,
+                epoch,
+            })?;
         self.telemetry.restore(&checkpoint.telemetry);
-        self.processed = checkpoint.processed;
         self.wedged = false;
         while self.channel.pop().is_some() {}
-        Ok(())
-    }
-
-    /// Replays logged events straight into the controller (bypassing the
-    /// channel) — the catch-up phase after a checkpoint restore. Returns
-    /// the number of events replayed.
-    pub(crate) fn replay(&mut self, events: &[TimedEvent]) -> u64 {
-        for event in events {
-            self.controller
-                .handle_owned_traced(event.clone(), &mut self.telemetry);
+        for event in log {
+            self.controller.ingest(event.clone(), &mut self.telemetry);
         }
-        self.processed += events.len() as u64;
-        events.len() as u64
+        self.processed = checkpoint.processed + log.len() as u64;
+        Ok((log.len() as u64, self.processed as i64 - before as i64))
     }
 
     /// Chaos hook: breaks the controller's admission conservation law so
@@ -357,8 +363,9 @@ mod tests {
             .unwrap();
         // Oracle: a controller fed the trace directly.
         let mut direct = Controller::new(&scenario, ControllerConfig::online_only());
+        let mut direct_tel = Telemetry::enabled();
         for event in trace.events() {
-            direct.handle(event);
+            direct.handle_traced(event, &mut direct_tel);
         }
         // Subject: the same events through a channel + drain rounds.
         let mut shard = Shard::new(0);
@@ -366,7 +373,7 @@ mod tests {
             TenantId::new(0),
             Controller::new(&scenario, ControllerConfig::online_only()),
             EventChannel::new(3),
-            Telemetry::disabled(),
+            Telemetry::enabled(),
         ));
         let mut events = trace.events().iter().cloned().peekable();
         while events.peek().is_some() {
@@ -387,5 +394,12 @@ mod tests {
             .count();
         assert!(arrival_count > 0);
         assert_eq!(shard.slots()[0].report(), direct.report());
+        // Closed at the horizon, both sides journal the same bytes.
+        direct.finish_traced(trace.horizon(), &mut direct_tel);
+        let (_, report, artifacts) = shard.finish(trace.horizon()).remove(0);
+        assert_eq!(report, direct.report());
+        let direct_journal = direct_tel.finish().journal_jsonl();
+        assert!(!direct_journal.is_empty());
+        assert_eq!(artifacts.journal_jsonl(), direct_journal);
     }
 }

@@ -3,10 +3,11 @@
 //! Three layers, all strict observers of the controller:
 //!
 //! - a structured **event journal** ([`TraceEvent`]/[`EventKind`]):
-//!   typed admit/reject/shed/retry/outage/re-optimization records
-//!   written to pluggable [`EventSink`]s — a bounded in-memory
-//!   [`RingSink`], a [`JsonlSink`] (one JSON object per line), and a
-//!   [`CsvSink`] in the fixed-column per-event trace shape;
+//!   typed admit/reject/shed/retry/outage/re-optimization records kept
+//!   in a bounded in-memory [`RingSink`] and written out once per format
+//!   by [`TelemetryArtifacts::journal_jsonl`] (one JSON object per line)
+//!   and [`TelemetryArtifacts::journal_csv`] (the fixed-column per-event
+//!   trace shape), each under a schema-version header its parser checks;
 //! - **timing spans** ([`Phase`]/[`PhaseProfile`]): wall-clock durations
 //!   of the hot phases (BFDSU delta-placement, RCKK planning, the
 //!   hysteresis probe, retry drain, emergency re-placement) aggregated
@@ -72,8 +73,7 @@ pub use recorder::{Postmortem, FLIGHT_RECORDER_WINDOW};
 pub use registry::{Registry, RegistryError};
 pub use series::{TickSample, TickSeries, SERIES_CSV_HEADER};
 pub use sink::{
-    csv_journal_rows, parse_jsonl_journal, CsvSink, EventSink, JournalError, JsonlSink, RingSink,
-    JOURNAL_SCHEMA_VERSION,
+    csv_journal_rows, parse_jsonl_journal, JournalError, RingSink, JOURNAL_SCHEMA_VERSION,
 };
 pub use span::{Phase, PhaseProfile, SpanToken, Stopwatch};
 pub use trace::{SpanId, SpanTree};
@@ -131,12 +131,31 @@ impl TelemetryArtifacts {
         all
     }
 
-    /// The journal as JSONL (one event per line).
+    /// The journal as JSONL: a `{"schema_version":N}` header line, then
+    /// one event per line — the shape [`parse_jsonl_journal`] reads back.
+    /// An empty journal renders as the empty string.
     #[must_use]
     pub fn journal_jsonl(&self) -> String {
-        let mut out = String::new();
+        self.render_journal(sink::jsonl_header(), TraceEvent::to_json)
+    }
+
+    /// The journal as CSV: a `# schema_version=N` comment line and
+    /// [`CSV_HEADER`], then one row per event — the shape
+    /// [`csv_journal_rows`] reads back. An empty journal renders as the
+    /// empty string.
+    #[must_use]
+    pub fn journal_csv(&self) -> String {
+        self.render_journal(sink::csv_header(), TraceEvent::to_csv_row)
+    }
+
+    fn render_journal(&self, header: String, line: fn(&TraceEvent) -> String) -> String {
+        if self.events.is_empty() {
+            return String::new();
+        }
+        let mut out = header;
+        out.push('\n');
         for event in &self.events {
-            out.push_str(&event.to_json());
+            out.push_str(&line(event));
             out.push('\n');
         }
         out
@@ -146,7 +165,6 @@ impl TelemetryArtifacts {
 struct Inner {
     seq: u64,
     ring: RingSink,
-    extra: Vec<Box<dyn EventSink>>,
     profile: PhaseProfile,
     series: TickSeries,
 }
@@ -157,9 +175,7 @@ struct Inner {
 ///
 /// The snapshot captures the journal ring (events plus drop counter),
 /// the sequence counter, the timing profile, and the tick series — the
-/// full determinism-relevant state. Extra sinks ([`Telemetry::add_sink`])
-/// are streaming side-channels and are *not* captured; restoring a
-/// session drops any sinks attached after the snapshot was taken.
+/// session's full state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
     inner: Option<(u64, RingSink, PhaseProfile, TickSeries)>,
@@ -222,7 +238,6 @@ impl Telemetry {
             inner: Some(Box::new(Inner {
                 seq: 0,
                 ring: RingSink::new(max_events),
-                extra: Vec::new(),
                 profile: PhaseProfile::new(),
                 series: TickSeries::new(max_samples),
             })),
@@ -233,14 +248,6 @@ impl Telemetry {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Attaches an additional sink (JSONL/CSV writers); a no-op on a
-    /// disabled session.
-    pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.extra.push(sink);
-        }
     }
 
     /// Emits one journal record at virtual time `time` during tick
@@ -257,9 +264,6 @@ impl Telemetry {
             kind: kind(),
         };
         inner.seq += 1;
-        for sink in &mut inner.extra {
-            sink.record(&event);
-        }
         inner.ring.record(&event);
     }
 
@@ -285,7 +289,7 @@ impl Telemetry {
 
     /// Captures the session's collected state for later [`restore`].
     /// Disabled sessions snapshot to (and restore from) the disabled
-    /// state. Extra sinks are not captured — see [`TelemetrySnapshot`].
+    /// state.
     ///
     /// [`restore`]: Telemetry::restore
     #[must_use]
@@ -303,7 +307,7 @@ impl Telemetry {
     }
 
     /// Rewinds the session to a previously captured [`snapshot`],
-    /// discarding everything recorded since (and any extra sinks).
+    /// discarding everything recorded since.
     ///
     /// [`snapshot`]: Telemetry::snapshot
     pub fn restore(&mut self, snapshot: &TelemetrySnapshot) {
@@ -311,23 +315,19 @@ impl Telemetry {
             Box::new(Inner {
                 seq: *seq,
                 ring: ring.clone(),
-                extra: Vec::new(),
                 profile: profile.clone(),
                 series: series.clone(),
             })
         });
     }
 
-    /// Closes the session: flushes the extra sinks and returns the
-    /// collected artifacts (empty for a disabled session).
+    /// Closes the session and returns the collected artifacts (empty for
+    /// a disabled session).
     #[must_use]
     pub fn finish(self) -> TelemetryArtifacts {
-        let Some(mut inner) = self.inner else {
+        let Some(inner) = self.inner else {
             return TelemetryArtifacts::default();
         };
-        for sink in &mut inner.extra {
-            sink.flush();
-        }
         TelemetryArtifacts {
             dropped_events: inner.ring.dropped(),
             events: inner.ring.into_events(),
@@ -345,7 +345,6 @@ impl std::fmt::Debug for Telemetry {
                 .debug_struct("Telemetry")
                 .field("events", &inner.ring.len())
                 .field("dropped", &inner.ring.dropped())
-                .field("extra_sinks", &inner.extra.len())
                 .field("spans", &inner.profile.total_spans())
                 .field("samples", &inner.series.len())
                 .finish(),
@@ -366,7 +365,6 @@ mod tests {
         tel.sample_tick(|| panic!("sample closure ran on the disabled path"));
         let token = tel.begin();
         tel.end(Phase::RckkPlan, token);
-        tel.add_sink(Box::new(RingSink::new(4)));
         let artifacts = tel.finish();
         assert_eq!(artifacts, TelemetryArtifacts::default());
     }
@@ -395,23 +393,8 @@ mod tests {
             1
         );
         let jsonl = artifacts.journal_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert_eq!(
-            TraceEvent::from_json(jsonl.lines().next().unwrap()).unwrap(),
-            artifacts.events[0]
-        );
-    }
-
-    #[test]
-    fn extra_sinks_observe_every_event() {
-        let mut tel = Telemetry::enabled();
-        tel.add_sink(Box::new(JsonlSink::new(Vec::new())));
-        tel.emit(1.0, 0, || EventKind::Admit {
-            request: RequestId::new(1),
-            hops: 1,
-        });
-        let artifacts = tel.finish();
-        assert_eq!(artifacts.events.len(), 1);
+        assert_eq!(jsonl.lines().count(), 3, "header plus one line per event");
+        assert_eq!(parse_jsonl_journal(&jsonl).unwrap(), artifacts.events);
     }
 
     #[test]

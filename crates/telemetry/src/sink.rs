@@ -1,7 +1,12 @@
-//! Pluggable journal sinks.
+//! The in-memory journal ring and the journal file formats: the schema
+//! headers [`TelemetryArtifacts::journal_jsonl`] and
+//! [`TelemetryArtifacts::journal_csv`] stamp, and the parsers that check
+//! them.
+//!
+//! [`TelemetryArtifacts::journal_jsonl`]: crate::TelemetryArtifacts::journal_jsonl
+//! [`TelemetryArtifacts::journal_csv`]: crate::TelemetryArtifacts::journal_csv
 
 use std::collections::VecDeque;
-use std::io::Write;
 
 use crate::event::{TraceEvent, CSV_HEADER};
 use crate::json::{get_u64, parse_object, JsonObject};
@@ -45,20 +50,22 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Renders the JSONL header line (`{"schema_version":N}`).
-fn jsonl_header() -> String {
+/// The JSONL journal's header line (`{"schema_version":N}`).
+pub(crate) fn jsonl_header() -> String {
     let mut obj = JsonObject::new();
     obj.field_u64("schema_version", u64::from(JOURNAL_SCHEMA_VERSION));
     obj.finish()
 }
 
-/// The CSV header comment line (`# schema_version=N`).
-fn csv_version_line() -> String {
-    format!("# schema_version={JOURNAL_SCHEMA_VERSION}")
+/// The CSV journal's header: a `# schema_version=N` comment line, then
+/// [`CSV_HEADER`].
+pub(crate) fn csv_header() -> String {
+    format!("# schema_version={JOURNAL_SCHEMA_VERSION}\n{CSV_HEADER}")
 }
 
-/// Parses a [`JsonlSink`]-written journal back into its events,
-/// verifying the schema-version header first.
+/// Parses a journal written by
+/// [`journal_jsonl`](crate::TelemetryArtifacts::journal_jsonl) back into
+/// its events, verifying the schema-version header first.
 ///
 /// # Errors
 ///
@@ -84,8 +91,9 @@ pub fn parse_jsonl_journal(text: &str) -> Result<Vec<TraceEvent>, JournalError> 
         .collect()
 }
 
-/// Validates a [`CsvSink`]-written journal's schema-version line and
-/// column header, returning the data rows.
+/// Validates the schema-version line and column header of a journal
+/// written by [`journal_csv`](crate::TelemetryArtifacts::journal_csv),
+/// returning the data rows.
 ///
 /// # Errors
 ///
@@ -109,19 +117,6 @@ pub fn csv_journal_rows(text: &str) -> Result<Vec<&str>, JournalError> {
         Some(header) if header == CSV_HEADER => Ok(lines.collect()),
         Some(_) => Err(JournalError::Malformed { line: 2 }),
     }
-}
-
-/// Receives journal records as they are emitted.
-///
-/// Sinks are observers: they must not influence the controller (no
-/// panics on full buffers, no blocking on virtual time). I/O errors are
-/// swallowed after the first failure — a broken pipe must not abort a
-/// deterministic run.
-pub trait EventSink: Send {
-    /// Records one event.
-    fn record(&mut self, event: &TraceEvent);
-    /// Flushes any buffered output (end of run).
-    fn flush(&mut self) {}
 }
 
 /// A bounded in-memory ring: keeps the most recent `capacity` events and
@@ -172,10 +167,9 @@ impl RingSink {
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events.into()
     }
-}
 
-impl EventSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
+    /// Records one event, evicting the oldest when the ring is full.
+    pub fn record(&mut self, event: &TraceEvent) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -188,124 +182,11 @@ impl EventSink for RingSink {
     }
 }
 
-/// Writes a `{"schema_version":N}` header line, then each event as one
-/// JSON line (`TraceEvent::to_json`).
-#[derive(Debug)]
-pub struct JsonlSink<W: Write + Send> {
-    writer: W,
-    wrote_header: bool,
-    failed: bool,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer; the schema-version header is emitted before the
-    /// first event.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            wrote_header: false,
-            failed: false,
-        }
-    }
-
-    /// Whether any write failed (output is then truncated, never torn
-    /// mid-line).
-    #[must_use]
-    pub fn failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.failed {
-            return;
-        }
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let header = format!("{}\n", jsonl_header());
-            self.failed = self.writer.write_all(header.as_bytes()).is_err();
-            if self.failed {
-                return;
-            }
-        }
-        let mut line = event.to_json();
-        line.push('\n');
-        self.failed = self.writer.write_all(line.as_bytes()).is_err();
-    }
-
-    fn flush(&mut self) {
-        if !self.failed {
-            self.failed = self.writer.flush().is_err();
-        }
-    }
-}
-
-/// Writes the fixed-column CSV trace shape: a `# schema_version=N`
-/// comment line and `CSV_HEADER` once, then one row per event.
-#[derive(Debug)]
-pub struct CsvSink<W: Write + Send> {
-    writer: W,
-    wrote_header: bool,
-    failed: bool,
-}
-
-impl<W: Write + Send> CsvSink<W> {
-    /// Wraps a writer; the header is emitted before the first row.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            wrote_header: false,
-            failed: false,
-        }
-    }
-
-    /// Whether any write failed.
-    #[must_use]
-    pub fn failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write + Send> EventSink for CsvSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.failed {
-            return;
-        }
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let header = format!("{}\n{CSV_HEADER}\n", csv_version_line());
-            self.failed = self.writer.write_all(header.as_bytes()).is_err();
-            if self.failed {
-                return;
-            }
-        }
-        let mut row = event.to_csv_row();
-        row.push('\n');
-        self.failed = self.writer.write_all(row.as_bytes()).is_err();
-    }
-
-    fn flush(&mut self) {
-        if !self.failed {
-            self.failed = self.writer.flush().is_err();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::TelemetryArtifacts;
     use nfv_model::RequestId;
 
     fn event(seq: u64) -> TraceEvent {
@@ -341,14 +222,16 @@ mod tests {
         assert_eq!(ring.dropped(), 1);
     }
 
+    fn journal(n: u64) -> TelemetryArtifacts {
+        TelemetryArtifacts {
+            events: (0..n).map(event).collect(),
+            ..TelemetryArtifacts::default()
+        }
+    }
+
     #[test]
-    fn jsonl_sink_writes_version_header_then_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&event(0));
-        sink.record(&event(1));
-        sink.flush();
-        assert!(!sink.failed());
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+    fn jsonl_journal_writes_version_header_then_parseable_lines() {
+        let text = journal(2).journal_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "{\"schema_version\":1}");
@@ -356,12 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_writes_version_and_header_once() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.record(&event(0));
-        sink.record(&event(1));
-        sink.flush();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+    fn csv_journal_writes_version_and_header_once() {
+        let text = journal(2).journal_csv();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "# schema_version=1");
@@ -370,22 +249,21 @@ mod tests {
     }
 
     #[test]
+    fn empty_journals_render_empty() {
+        assert_eq!(journal(0).journal_jsonl(), "");
+        assert_eq!(journal(0).journal_csv(), "");
+    }
+
+    #[test]
     fn jsonl_journal_round_trips_through_the_parser() {
-        let mut sink = JsonlSink::new(Vec::new());
-        for i in 0..4 {
-            sink.record(&event(i));
-        }
-        sink.flush();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = journal(4).journal_jsonl();
         let events = parse_jsonl_journal(&text).unwrap();
         assert_eq!(events, (0..4).map(event).collect::<Vec<_>>());
     }
 
     #[test]
     fn parsers_reject_bumped_schema_versions() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&event(0));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = journal(1).journal_jsonl();
         let bumped = text.replace(
             "{\"schema_version\":1}",
             &format!("{{\"schema_version\":{}}}", JOURNAL_SCHEMA_VERSION + 1),
@@ -397,9 +275,7 @@ mod tests {
                 expected: JOURNAL_SCHEMA_VERSION,
             })
         );
-        let mut sink = CsvSink::new(Vec::new());
-        sink.record(&event(0));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = journal(1).journal_csv();
         let rows = csv_journal_rows(&text).unwrap();
         assert_eq!(rows.len(), 1);
         let bumped = text.replace("# schema_version=1", "# schema_version=2");
@@ -428,32 +304,5 @@ mod tests {
             csv_journal_rows("# schema_version=1\nWrong,Header\n"),
             Err(JournalError::Malformed { line: 2 })
         );
-    }
-
-    /// A writer that fails after `ok` bytes, to exercise the error latch.
-    struct Flaky {
-        ok: usize,
-    }
-    impl Write for Flaky {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.ok >= buf.len() {
-                self.ok -= buf.len();
-                Ok(buf.len())
-            } else {
-                Err(std::io::Error::other("full"))
-            }
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn io_errors_latch_instead_of_panicking() {
-        let mut sink = JsonlSink::new(Flaky { ok: 80 });
-        for i in 0..10 {
-            sink.record(&event(i));
-        }
-        assert!(sink.failed());
     }
 }

@@ -40,8 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("periodic-reopt", ControllerConfig::periodic_reopt()),
         ("offline-oracle", ControllerConfig::offline_oracle()),
     ] {
+        // One ingestion path: the materialized trace streams through the
+        // same per-event core the fleet drains through.
         let mut controller = Controller::new(&scenario, config);
-        let report = controller.run_trace(&trace);
+        let report = controller.run_stream(trace.events().iter().cloned(), trace.horizon());
         println!("-- {name} --");
         println!("{}", report.render());
         if let Some(histogram) = controller.latency_histogram(10) {
