@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use nfv_metrics::{Histogram, SampleSet};
-use nfv_model::{Capacity, ComputeNode, NodeId, Request, RequestId, Vnf, VnfId};
+use nfv_model::{ArrivalRate, Capacity, ComputeNode, NodeId, Request, RequestId, Vnf, VnfId};
 use nfv_placement::{Bfdsu, Placement, PlacementProblem};
 use nfv_scheduling::{Rckk, Scheduler};
 use nfv_search::{objective, Engine, SearchConfig, SearchRun};
@@ -17,7 +17,8 @@ use crate::active::ActiveSet;
 use crate::retry::RetryQueue;
 use crate::snapshot::{ControllerSnapshot, SnapshotError};
 use crate::{
-    ControllerConfig, ControllerError, ControllerReport, ControllerState, RejectReason, ShedPolicy,
+    ControllerConfig, ControllerError, ControllerReport, ControllerState, RejectReason,
+    RetryConfig, ShedPolicy,
 };
 
 /// What the controller did with one event.
@@ -95,149 +96,6 @@ pub enum EventOutcome {
     StaleOutage,
 }
 
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Counters {
-    admitted: u64,
-    rejected: u64,
-    departed: u64,
-    shed: u64,
-    migrated_failover: u64,
-    migrated_reopt: u64,
-    migrated_replace: u64,
-    ticks: u64,
-    reopts_applied: u64,
-    reopts_skipped: u64,
-    instances_added: u64,
-    instances_retired: u64,
-    relocations: u64,
-    replaces_applied: u64,
-    replaces_aborted: u64,
-    node_downs: u64,
-    node_ups: u64,
-    stale_outage_events: u64,
-    emergency_replaces: u64,
-    retries_attempted: u64,
-    retry_admitted: u64,
-    retry_abandoned: u64,
-    refines_applied: u64,
-    refines_rejected: u64,
-    /// `node_downs + node_ups` at the last refiner attempt, for the
-    /// quiet-tick gate (not reported).
-    outages_seen: u64,
-}
-
-impl Counters {
-    /// Counter names in declaration order — the snapshot's counter
-    /// schema. A snapshot whose pairs do not match this list exactly was
-    /// written by a different build and is refused on restore.
-    const NAMES: [&'static str; 25] = [
-        "admitted",
-        "rejected",
-        "departed",
-        "shed",
-        "migrated_failover",
-        "migrated_reopt",
-        "migrated_replace",
-        "ticks",
-        "reopts_applied",
-        "reopts_skipped",
-        "instances_added",
-        "instances_retired",
-        "relocations",
-        "replaces_applied",
-        "replaces_aborted",
-        "node_downs",
-        "node_ups",
-        "stale_outage_events",
-        "emergency_replaces",
-        "retries_attempted",
-        "retry_admitted",
-        "retry_abandoned",
-        "refines_applied",
-        "refines_rejected",
-        "outages_seen",
-    ];
-
-    fn values(&self) -> [u64; 25] {
-        [
-            self.admitted,
-            self.rejected,
-            self.departed,
-            self.shed,
-            self.migrated_failover,
-            self.migrated_reopt,
-            self.migrated_replace,
-            self.ticks,
-            self.reopts_applied,
-            self.reopts_skipped,
-            self.instances_added,
-            self.instances_retired,
-            self.relocations,
-            self.replaces_applied,
-            self.replaces_aborted,
-            self.node_downs,
-            self.node_ups,
-            self.stale_outage_events,
-            self.emergency_replaces,
-            self.retries_attempted,
-            self.retry_admitted,
-            self.retry_abandoned,
-            self.refines_applied,
-            self.refines_rejected,
-            self.outages_seen,
-        ]
-    }
-
-    fn to_pairs(&self) -> Vec<(String, u64)> {
-        Self::NAMES
-            .iter()
-            .zip(self.values())
-            .map(|(name, value)| ((*name).to_string(), value))
-            .collect()
-    }
-
-    /// Rebuilds the counter block from snapshot pairs; `None` when the
-    /// names do not match this build's schema exactly (order included).
-    fn from_pairs(pairs: &[(String, u64)]) -> Option<Self> {
-        if pairs.len() != Self::NAMES.len()
-            || pairs
-                .iter()
-                .zip(Self::NAMES)
-                .any(|((name, _), expected)| name != expected)
-        {
-            return None;
-        }
-        let v: Vec<u64> = pairs.iter().map(|(_, value)| *value).collect();
-        Some(Self {
-            admitted: v[0],
-            rejected: v[1],
-            departed: v[2],
-            shed: v[3],
-            migrated_failover: v[4],
-            migrated_reopt: v[5],
-            migrated_replace: v[6],
-            ticks: v[7],
-            reopts_applied: v[8],
-            reopts_skipped: v[9],
-            instances_added: v[10],
-            instances_retired: v[11],
-            relocations: v[12],
-            replaces_applied: v[13],
-            replaces_aborted: v[14],
-            node_downs: v[15],
-            node_ups: v[16],
-            stale_outage_events: v[17],
-            emergency_replaces: v[18],
-            retries_attempted: v[19],
-            retry_admitted: v[20],
-            retry_abandoned: v[21],
-            refines_applied: v[22],
-            refines_rejected: v[23],
-            outages_seen: v[24],
-        })
-    }
-}
-
 /// The physical substrate the controller re-places over: the node fleet,
 /// the scenario's VNF prototypes (per-instance demand and service rate,
 /// used to rebuild [`PlacementProblem`]s with live instance counts) and the
@@ -270,7 +128,7 @@ impl Cluster {
                 if depth == 0 {
                     *node
                 } else {
-                    ComputeNode::new(node.id(), Capacity::new(0.0).expect("zero is valid"))
+                    ComputeNode::new(node.id(), Capacity::ZERO)
                 }
             })
             .collect()
@@ -328,7 +186,11 @@ pub struct Controller {
     state: ControllerState,
     active: ActiveSet,
     config: ControllerConfig,
-    counters: Counters,
+    /// The counter block; [`report`](Self::report) fills in the derived
+    /// fields.
+    counters: ControllerReport,
+    /// `node_downs + node_ups` at the refiner's last quiet-tick check.
+    outages_seen: u64,
     clock: f64,
     /// `∫ L(t) dt` over the run so far, for the time-weighted mean latency.
     latency_integral: f64,
@@ -349,7 +211,8 @@ impl Controller {
             state: ControllerState::new(scenario),
             active: ActiveSet::default(),
             config,
-            counters: Counters::default(),
+            counters: ControllerReport::default(),
+            outages_seen: 0,
             clock: 0.0,
             latency_integral: 0.0,
             current_latency: 0.0,
@@ -441,7 +304,8 @@ impl Controller {
             clock: self.clock,
             latency_integral: self.latency_integral,
             current_latency: self.current_latency,
-            counters: self.counters.to_pairs(),
+            counters: self.counters.clone(),
+            outages_seen: self.outages_seen,
             latency_samples: self.latency_samples.as_slice().to_vec(),
             utilization_samples: self.utilization_samples.as_slice().to_vec(),
             reports: self.snapshots.clone(),
@@ -466,15 +330,13 @@ impl Controller {
     /// # Errors
     ///
     /// [`SnapshotError::Mismatch`] when the snapshot does not fit this
-    /// controller — different VNF shape, cluster presence or size, a
-    /// counter schema from another build, or out-of-domain member data.
+    /// controller — different VNF shape, cluster presence or size, or
+    /// out-of-domain member data.
     /// The controller may be partially overwritten on error and must be
     /// discarded (restore into a freshly built controller to make the
     /// operation all-or-nothing).
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) -> Result<(), SnapshotError> {
         let mismatch = |reason| SnapshotError::Mismatch { reason };
-        let counters = Counters::from_pairs(&snapshot.counters)
-            .ok_or(mismatch("counter schema differs from this build"))?;
         match (self.cluster.as_mut(), snapshot.cluster.as_ref()) {
             (None, None) => {}
             (Some(cluster), Some((assignment, node_down))) => {
@@ -500,7 +362,8 @@ impl Controller {
             active.insert(request.clone());
         }
         self.active = active;
-        self.counters = counters;
+        self.counters.clone_from(&snapshot.counters);
+        self.outages_seen = snapshot.outages_seen;
         self.clock = snapshot.clock;
         self.latency_integral = snapshot.latency_integral;
         self.current_latency = snapshot.current_latency;
@@ -781,10 +644,13 @@ impl Controller {
                 self.clock = due;
             }
             self.counters.retries_attempted += 1;
-            match self.placement_plan(&request) {
-                Some(placements) => {
-                    let id = request.id();
-                    self.occupy(request, &placements);
+            let id = request.id();
+            let placed = match self.placement_plan(&request) {
+                Some(placements) => self.occupy(request, &placements),
+                None => Err(request),
+            };
+            match placed {
+                Ok(()) => {
                     self.counters.retry_admitted += 1;
                     tel.emit(self.clock, self.counters.ticks, || {
                         EventKind::RetryAdmitted {
@@ -793,29 +659,7 @@ impl Controller {
                         }
                     });
                 }
-                None => {
-                    let id = request.id();
-                    match self.retry.schedule(&rc, request, attempt + 1, due) {
-                        Ok(next_due) => {
-                            tel.emit(self.clock, self.counters.ticks, || {
-                                EventKind::RetryScheduled {
-                                    request: id,
-                                    attempt: u64::from(attempt + 1),
-                                    due: next_due,
-                                }
-                            });
-                        }
-                        Err(refusal) => {
-                            self.counters.retry_abandoned += 1;
-                            tel.emit(self.clock, self.counters.ticks, || {
-                                EventKind::RetryAbandoned {
-                                    request: id,
-                                    cause: refusal.slug().to_string(),
-                                }
-                            });
-                        }
-                    }
-                }
+                Err(request) => self.schedule_retry(&rc, request, attempt + 1, due, tel),
             }
             self.current_latency = self.state.predicted_latency();
             self.latency_samples.push(self.current_latency);
@@ -825,29 +669,42 @@ impl Controller {
     }
 
     /// Queues a refused request for a later re-offer (first attempt),
-    /// when retries are configured; abandoned entrants are counted.
+    /// when retries are configured.
     fn enqueue_retry(&mut self, request: &Request, tel: &mut Telemetry) {
         if let Some(rc) = self.config.retry {
-            let id = request.id();
-            match self.retry.schedule(&rc, request.clone(), 0, self.clock) {
-                Ok(due) => {
-                    tel.emit(self.clock, self.counters.ticks, || {
-                        EventKind::RetryScheduled {
-                            request: id,
-                            attempt: 0,
-                            due,
-                        }
-                    });
-                }
-                Err(refusal) => {
-                    self.counters.retry_abandoned += 1;
-                    tel.emit(self.clock, self.counters.ticks, || {
-                        EventKind::RetryAbandoned {
-                            request: id,
-                            cause: refusal.slug().to_string(),
-                        }
-                    });
-                }
+            self.schedule_retry(&rc, request.clone(), 0, self.clock, tel);
+        }
+    }
+
+    /// Queues `request` for re-offer number `attempt`, backing off from
+    /// `from`; a request the queue refuses is abandoned and counted.
+    fn schedule_retry(
+        &mut self,
+        rc: &RetryConfig,
+        request: Request,
+        attempt: u32,
+        from: f64,
+        tel: &mut Telemetry,
+    ) {
+        let id = request.id();
+        match self.retry.schedule(rc, request, attempt, from) {
+            Ok(due) => {
+                tel.emit(self.clock, self.counters.ticks, || {
+                    EventKind::RetryScheduled {
+                        request: id,
+                        attempt: u64::from(attempt),
+                        due,
+                    }
+                });
+            }
+            Err(refusal) => {
+                self.counters.retry_abandoned += 1;
+                tel.emit(self.clock, self.counters.ticks, || {
+                    EventKind::RetryAbandoned {
+                        request: id,
+                        cause: refusal.slug().to_string(),
+                    }
+                });
             }
         }
     }
@@ -875,30 +732,6 @@ impl Controller {
     pub fn report(&self) -> ControllerReport {
         ControllerReport {
             time: self.clock,
-            admitted: self.counters.admitted,
-            rejected: self.counters.rejected,
-            departed: self.counters.departed,
-            shed: self.counters.shed,
-            migrated_failover: self.counters.migrated_failover,
-            migrated_reopt: self.counters.migrated_reopt,
-            migrated_replace: self.counters.migrated_replace,
-            ticks: self.counters.ticks,
-            reopts_applied: self.counters.reopts_applied,
-            reopts_skipped: self.counters.reopts_skipped,
-            instances_added: self.counters.instances_added,
-            instances_retired: self.counters.instances_retired,
-            relocations: self.counters.relocations,
-            replaces_applied: self.counters.replaces_applied,
-            replaces_aborted: self.counters.replaces_aborted,
-            node_downs: self.counters.node_downs,
-            node_ups: self.counters.node_ups,
-            stale_outage_events: self.counters.stale_outage_events,
-            emergency_replaces: self.counters.emergency_replaces,
-            retries_attempted: self.counters.retries_attempted,
-            retry_admitted: self.counters.retry_admitted,
-            retry_abandoned: self.counters.retry_abandoned,
-            refines_applied: self.counters.refines_applied,
-            refines_rejected: self.counters.refines_rejected,
             retry_pending: self.retry.len() as u64,
             active: self.active.len() as u64,
             mean_latency: if self.clock > 0.0 {
@@ -908,6 +741,7 @@ impl Controller {
             },
             current_latency: self.current_latency,
             peak_utilization: self.peak_utilization(),
+            ..self.counters.clone()
         }
     }
 
@@ -930,7 +764,9 @@ impl Controller {
             Err(outcome) => return outcome,
         };
         let id = request.id();
-        self.occupy(request, &placements);
+        if let Err(request) = self.occupy(request, &placements) {
+            return self.reject(&request, RejectReason::DuplicateId, tel);
+        }
         self.counters.admitted += 1;
         tel.emit(self.clock, self.counters.ticks, || EventKind::Admit {
             request: id,
@@ -948,32 +784,16 @@ impl Controller {
         tel: &mut Telemetry,
     ) -> Result<Vec<(VnfId, usize)>, EventOutcome> {
         if self.active.contains_key(request.id()) {
-            self.counters.rejected += 1;
-            tel.emit(self.clock, self.counters.ticks, || EventKind::Reject {
-                request: request.id(),
-                cause: "duplicate-id".to_string(),
-            });
-            return Err(EventOutcome::Rejected(RejectReason::DuplicateId));
+            return Err(self.reject(request, RejectReason::DuplicateId, tel));
         }
         let headroom = self.admission_headroom();
         let mut placements = Vec::with_capacity(request.chain().len());
         for &vnf in request.chain() {
             if self.state.instances(vnf) == 0 {
-                self.counters.rejected += 1;
-                tel.emit(self.clock, self.counters.ticks, || EventKind::Reject {
-                    request: request.id(),
-                    cause: "unknown-vnf".to_string(),
-                });
-                return Err(EventOutcome::Rejected(RejectReason::UnknownVnf { vnf }));
+                return Err(self.reject(request, RejectReason::UnknownVnf { vnf }, tel));
             }
             let Some(k) = self.state.least_loaded_up(vnf) else {
-                self.counters.rejected += 1;
-                tel.emit(self.clock, self.counters.ticks, || EventKind::Reject {
-                    request: request.id(),
-                    cause: "no-instance-up".to_string(),
-                });
-                self.enqueue_retry(request, tel);
-                return Err(EventOutcome::Rejected(RejectReason::NoInstanceUp { vnf }));
+                return Err(self.reject(request, RejectReason::NoInstanceUp { vnf }, tel));
             };
             if self.state.can_accept_within(
                 vnf,
@@ -991,33 +811,54 @@ impl Controller {
                 placements.push((vnf, k));
                 continue;
             }
-            self.counters.rejected += 1;
-            tel.emit(self.clock, self.counters.ticks, || EventKind::Reject {
-                request: request.id(),
-                cause: "would-overload".to_string(),
-            });
-            self.enqueue_retry(request, tel);
-            return Err(EventOutcome::Rejected(RejectReason::WouldOverload { vnf }));
+            return Err(self.reject(request, RejectReason::WouldOverload { vnf }, tel));
         }
         Ok(placements)
     }
 
+    /// Refuses an arrival: counts and journals the rejection, queues the
+    /// request for a retry when capacity may return (an overloaded or
+    /// unavailable hop), and returns the outcome.
+    fn reject(
+        &mut self,
+        request: &Request,
+        reason: RejectReason,
+        tel: &mut Telemetry,
+    ) -> EventOutcome {
+        let (cause, retry) = match reason {
+            RejectReason::WouldOverload { .. } => ("would-overload", true),
+            RejectReason::NoInstanceUp { .. } => ("no-instance-up", true),
+            RejectReason::UnknownVnf { .. } => ("unknown-vnf", false),
+            RejectReason::DuplicateId => ("duplicate-id", false),
+        };
+        self.counters.rejected += 1;
+        tel.emit(self.clock, self.counters.ticks, || EventKind::Reject {
+            request: request.id(),
+            cause: cause.to_string(),
+        });
+        if retry {
+            self.enqueue_retry(request, tel);
+        }
+        EventOutcome::Rejected(reason)
+    }
+
     /// Writes validated placements into the ledger and moves the request
     /// into the active set — the one ledger write behind both arrivals
-    /// and retry re-admissions.
-    fn occupy(&mut self, request: Request, placements: &[(VnfId, usize)]) {
-        for &(vnf, k) in placements {
-            self.state
-                .add_request(
-                    vnf,
-                    k,
-                    request.id(),
-                    request.arrival_rate(),
-                    request.delivery(),
-                )
-                .expect("placement was validated against the ledger");
+    /// and retry re-admissions. A hop the ledger refuses (it already
+    /// holds the id) unwinds the hops written so far and hands the
+    /// request back.
+    fn occupy(&mut self, request: Request, placements: &[(VnfId, usize)]) -> Result<(), Request> {
+        let (id, rate, delivery) = (request.id(), request.arrival_rate(), request.delivery());
+        for (written, &(vnf, k)) in placements.iter().enumerate() {
+            if self.state.add_request(vnf, k, id, rate, delivery).is_err() {
+                for &(vnf, _) in placements.iter().take(written) {
+                    self.state.remove_request(vnf, id);
+                }
+                return Err(request);
+            }
         }
         self.active.insert(request);
+        Ok(())
     }
 
     /// A non-mutating admission check for retries: the least-loaded up
@@ -1105,22 +946,19 @@ impl Controller {
         true
     }
 
-    /// Removes a request from every hop it occupies and from the active
-    /// set (an eviction or a failed failover, not a normal departure).
-    fn drop_request(&mut self, id: RequestId) {
-        if let Some(request) = self.active.remove(id) {
-            for &vnf in request.chain() {
-                self.state.remove_request(vnf, id);
-            }
+    /// Removes a request from the active set and from every hop it
+    /// occupies, returning it; `None` when it is not active.
+    fn drop_request(&mut self, id: RequestId) -> Option<Request> {
+        let request = self.active.remove(id)?;
+        for &vnf in request.chain() {
+            self.state.remove_request(vnf, id);
         }
+        Some(request)
     }
 
     fn depart(&mut self, id: RequestId) -> EventOutcome {
-        let Some(request) = self.active.remove(id) else {
+        if self.drop_request(id).is_none() {
             return EventOutcome::StaleDeparture;
-        };
-        for &vnf in request.chain() {
-            self.state.remove_request(vnf, id);
         }
         self.counters.departed += 1;
         EventOutcome::Departed
@@ -1137,35 +975,26 @@ impl Controller {
             self.counters.stale_outage_events += 1;
             return EventOutcome::StaleOutage;
         }
-        let displaced = self.state.members_of(vnf, instance);
         let (mut migrated, mut shed) = (0u64, 0u64);
-        for id in displaced {
-            let request = self
-                .active
-                .get(id)
-                .expect("ledger member is active")
-                .clone();
-            self.state.remove_request(vnf, id);
-            let target = self.state.least_loaded_up(vnf).filter(|&k| {
+        for id in self.state.members_of(vnf, instance) {
+            // The mover still sits on the down instance, which is never a
+            // target, so its load does not sway the pick.
+            let target = self.state.traffic_of(vnf, id).and_then(|(rate, delivery)| {
                 self.state
-                    .can_accept(vnf, k, request.arrival_rate(), request.delivery())
+                    .least_loaded_up(vnf)
+                    .filter(|&k| self.state.can_accept(vnf, k, rate, delivery))
             });
-            match target {
-                Some(k) => {
-                    self.state
-                        .add_request(vnf, k, id, request.arrival_rate(), request.delivery())
-                        .expect("target was validated");
-                    migrated += 1;
-                }
-                None => {
-                    self.drop_request(id);
-                    shed += 1;
-                    tel.emit(self.clock, self.counters.ticks, || EventKind::Shed {
-                        request: id,
-                        cause: "instance-down".to_string(),
-                    });
-                    self.enqueue_retry(&request, tel);
-                }
+            if target.is_some_and(|k| self.state.move_request(vnf, id, k).is_ok()) {
+                migrated += 1;
+                continue;
+            }
+            if let Some(request) = self.drop_request(id) {
+                shed += 1;
+                tel.emit(self.clock, self.counters.ticks, || EventKind::Shed {
+                    request: id,
+                    cause: "instance-down".to_string(),
+                });
+                self.enqueue_retry(&request, tel);
             }
         }
         self.counters.migrated_failover += migrated;
@@ -1252,12 +1081,9 @@ impl Controller {
         // shed whole (the retry ladder is the recovery path).
         let mut shed = 0u64;
         for id in displaced {
-            let request = self
-                .active
-                .get(id)
-                .expect("ledger member is active")
-                .clone();
-            self.drop_request(id);
+            let Some(request) = self.drop_request(id) else {
+                continue;
+            };
             shed += 1;
             tel.emit(self.clock, self.counters.ticks, || EventKind::Shed {
                 request: id,
@@ -1354,14 +1180,12 @@ impl Controller {
             // surviving fleet: retries wait for the node to return.
             (0, 0)
         } else {
-            for &vnf in &grows {
-                self.state.add_instance(vnf).expect("vnf exists");
-            }
+            let added = grow(&mut self.state, &grows);
             self.commit_assignment(assignment);
-            self.counters.instances_added += grows.len() as u64;
+            self.counters.instances_added += added;
             self.counters.relocations += relocated.len() as u64;
             self.counters.emergency_replaces += 1;
-            (grows.len() as u64, relocated.len() as u64)
+            (added, relocated.len() as u64)
         };
         tel.end(Phase::EmergencyReplace, token);
         result
@@ -1425,61 +1249,14 @@ impl Controller {
     /// every VNF's host-availability from it — a VNF relocated off a dark
     /// node becomes dispatchable again immediately.
     fn commit_assignment(&mut self, assignment: Vec<NodeId>) {
-        let cluster = self.cluster.as_mut().expect("caller holds a cluster");
+        let Some(cluster) = self.cluster.as_mut() else {
+            return;
+        };
         cluster.assignment = assignment;
         for (proto, &node) in cluster.protos.iter().zip(&cluster.assignment) {
             self.state
                 .set_host_down(proto.id(), cluster.node_down[node.as_usize()] > 0);
         }
-    }
-
-    /// Bounded plan selection: repeatedly applies, out of the remaining
-    /// candidate moves, the one reducing predicted latency the most, until
-    /// the budget is exhausted or no candidate improves. Candidate
-    /// evaluation try-applies each move on a preview ledger and undoes it,
-    /// relying on `add_request`/`remove_request` restoring the ledger
-    /// bit-for-bit. Returns the selected moves (in selection order) and
-    /// the predicted latency with all of them applied.
-    fn select_moves_greedily(
-        &self,
-        mut remaining: Vec<(RequestId, VnfId, usize)>,
-        budget: usize,
-        now: f64,
-    ) -> (Vec<(RequestId, VnfId, usize)>, f64) {
-        let mut preview = self.state.clone();
-        let mut selected = Vec::with_capacity(budget.min(remaining.len()));
-        let mut current = now;
-        while selected.len() < budget && !remaining.is_empty() {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, &(id, vnf, target)) in remaining.iter().enumerate() {
-                let request = self.active.get(id).expect("ledger member is active");
-                let (rate, delivery) = (request.arrival_rate(), request.delivery());
-                let origin = preview.remove_request(vnf, id).expect("mover is assigned");
-                preview
-                    .add_request(vnf, target, id, rate, delivery)
-                    .expect("target index comes from a valid schedule");
-                let after = preview.predicted_latency();
-                preview.remove_request(vnf, id);
-                preview
-                    .add_request(vnf, origin, id, rate, delivery)
-                    .expect("origin was just vacated");
-                // Strict improvement required; first-best wins ties so the
-                // selection is deterministic.
-                if after < current && best.is_none_or(|(_, b)| after < b) {
-                    best = Some((i, after));
-                }
-            }
-            let Some((i, after)) = best else { break };
-            let (id, vnf, target) = remaining.remove(i);
-            let request = self.active.get(id).expect("ledger member is active");
-            preview.remove_request(vnf, id);
-            preview
-                .add_request(vnf, target, id, request.arrival_rate(), request.delivery())
-                .expect("target index comes from a valid schedule");
-            selected.push((id, vnf, target));
-            current = after;
-        }
-        (selected, current)
     }
 
     /// A re-optimization tick. The re-placement phase (when configured and
@@ -1513,6 +1290,43 @@ impl Controller {
         }
     }
 
+    /// Journals a declined re-optimization plan against its phase's
+    /// `min_gain` and counts it: skipped scheduling passes, aborted
+    /// re-placements, rejected refinements.
+    fn decline(
+        &mut self,
+        phase: ReoptPhase,
+        cause: &'static str,
+        predicted_gain: f64,
+        tel: &mut Telemetry,
+    ) {
+        let config = &self.config;
+        let (declined, required_gain) = match phase {
+            ReoptPhase::Scheduling => (
+                &mut self.counters.reopts_skipped,
+                config.reopt.map(|c| c.min_gain),
+            ),
+            ReoptPhase::Replacement => (
+                &mut self.counters.replaces_aborted,
+                config.replace.map(|c| c.min_gain),
+            ),
+            ReoptPhase::Refiner => (
+                &mut self.counters.refines_rejected,
+                config.refiner.map(|c| c.min_gain),
+            ),
+        };
+        *declined += 1;
+        let required_gain = required_gain.unwrap_or(0.0);
+        tel.emit(self.clock, self.counters.ticks, || {
+            EventKind::ReoptRejected {
+                phase,
+                cause: cause.to_string(),
+                predicted_gain,
+                required_gain,
+            }
+        });
+    }
+
     /// The scheduling phase of a tick: re-run RCKK on the live request set
     /// and apply a bounded, hysteresis-gated slice of the plan. Returns the
     /// number of requests moved.
@@ -1522,25 +1336,17 @@ impl Controller {
         };
 
         // Re-run RCKK per VNF on the live request set (raw external rates,
-        // exactly as the offline pipeline feeds its scheduler) and collect
-        // the requests whose current instance differs from the target, in
-        // (VNF, id) order for determinism.
+        // as the ledger stores them and the offline pipeline feeds its
+        // scheduler) and collect the requests whose current instance
+        // differs from the target, in (VNF, id) order for determinism.
         let plan_token = tel.begin();
         let mut moves: Vec<(RequestId, VnfId, usize)> = Vec::new();
-        for vnf in self.state.vnf_ids().collect::<Vec<_>>() {
-            let ids = self.state.active_ids(vnf);
+        for vnf in self.state.vnf_ids() {
+            let (ids, rates): (Vec<RequestId>, Vec<ArrivalRate>) =
+                self.state.active_rates(vnf).into_iter().unzip();
             if ids.is_empty() {
                 continue;
             }
-            let rates: Vec<_> = ids
-                .iter()
-                .map(|&id| {
-                    self.active
-                        .get(id)
-                        .expect("ledger member is active")
-                        .arrival_rate()
-                })
-                .collect();
             // Plan only over the instances that are actually up; the
             // schedule's indices are mapped back to real instance numbers.
             let ups: Vec<usize> = (0..self.state.instances(vnf))
@@ -1563,91 +1369,68 @@ impl Controller {
         }
         tel.end(Phase::RckkPlan, plan_token);
         if moves.is_empty() {
-            self.counters.reopts_skipped += 1;
-            tel.emit(self.clock, self.counters.ticks, || {
-                EventKind::ReoptRejected {
-                    phase: ReoptPhase::Scheduling,
-                    cause: "empty-plan".to_string(),
-                    predicted_gain: 0.0,
-                    required_gain: reopt.min_gain,
-                }
-            });
+            self.decline(ReoptPhase::Scheduling, "empty-plan", 0.0, tel);
             return 0;
         }
 
-        // Bound the plan. When the budget covers the whole plan, adopt it
-        // verbatim (the oracle path: the live assignment becomes exactly
-        // the fresh RCKK schedule). Otherwise pick the moves greedily by
-        // marginal predicted-latency gain — an arbitrary prefix of a full
-        // rebalance is often infeasible or even harmful, because each
-        // move's target only has room once *other* movers have left.
+        // Bound the plan on a preview ledger. When the budget covers the
+        // whole plan, adopt it verbatim (the oracle path: the live
+        // assignment becomes exactly the fresh RCKK schedule). Otherwise
+        // pick the moves greedily by marginal predicted-latency gain — an
+        // arbitrary prefix of a full rebalance is often infeasible or even
+        // harmful, because each move's target only has room once *other*
+        // movers have left. A move the ledger refuses declines the plan.
         let probe_token = tel.begin();
         let now = self.state.predicted_latency();
-        let (moves, after) = if moves.len() <= reopt.max_migrations {
-            let mut preview = self.state.clone();
-            for &(id, vnf, target) in &moves {
-                let request = self.active.get(id).expect("ledger member is active");
-                preview.remove_request(vnf, id);
-                preview
-                    .add_request(vnf, target, id, request.arrival_rate(), request.delivery())
-                    .expect("target index comes from a valid schedule");
-            }
-            let after = preview.predicted_latency();
-            (moves, after)
+        let mut preview = self.state.clone();
+        let selected = if moves.len() <= reopt.max_migrations {
+            moves
+                .iter()
+                .all(|&(id, vnf, to)| preview.move_request(vnf, id, to).is_ok())
+                .then(|| (moves, preview.predicted_latency()))
         } else {
-            self.select_moves_greedily(moves, reopt.max_migrations, now)
+            select_greedily(
+                &mut preview,
+                moves,
+                reopt.max_migrations,
+                now,
+                |ledger, (id, vnf, to)| {
+                    let from = ledger.move_request(vnf, id, to).ok()?;
+                    Some((id, vnf, from))
+                },
+                ControllerState::predicted_latency,
+            )
         };
         tel.end(Phase::HysteresisProbe, probe_token);
+        let Some((moves, after)) = selected else {
+            self.decline(ReoptPhase::Scheduling, "invalid-plan", 0.0, tel);
+            return 0;
+        };
         if moves.is_empty() {
-            self.counters.reopts_skipped += 1;
-            tel.emit(self.clock, self.counters.ticks, || {
-                EventKind::ReoptRejected {
-                    phase: ReoptPhase::Scheduling,
-                    cause: "no-improvement".to_string(),
-                    predicted_gain: 0.0,
-                    required_gain: reopt.min_gain,
-                }
-            });
+            self.decline(ReoptPhase::Scheduling, "no-improvement", 0.0, tel);
             return 0;
         }
 
         // Hysteresis: the selected moves must promise a relative
         // predicted-latency gain of at least `min_gain`. (An infeasible
         // full plan previews as infinite latency and is skipped here.)
-        let gain = if now > 0.0 { (now - after) / now } else { 0.0 };
+        let gain = relative_gain(now, after);
         if gain < reopt.min_gain {
-            self.counters.reopts_skipped += 1;
-            tel.emit(self.clock, self.counters.ticks, || {
-                EventKind::ReoptRejected {
-                    phase: ReoptPhase::Scheduling,
-                    cause: "hysteresis".to_string(),
-                    predicted_gain: gain,
-                    required_gain: reopt.min_gain,
-                }
-            });
+            self.decline(ReoptPhase::Scheduling, "hysteresis", gain, tel);
             return 0;
         }
 
-        // Apply the plan verbatim. The previewed end state is exactly what
-        // hysteresis accepted (finite latency, every instance stable), so
-        // no per-move capacity fallback is needed — and none is taken,
-        // keeping the live state equal to the preview bit-for-bit.
-        for &(id, vnf, target) in &moves {
-            let request = self.active.get(id).expect("ledger member is active");
-            let (rate, delivery) = (request.arrival_rate(), request.delivery());
-            self.state.remove_request(vnf, id);
-            self.state
-                .add_request(vnf, target, id, rate, delivery)
-                .expect("move comes from a validated plan");
-        }
+        // Commit: the previewed ledger becomes the live state, exactly
+        // what hysteresis accepted (finite latency, every instance
+        // stable).
+        self.state = preview;
         let migrations = moves.len() as u64;
         self.counters.migrated_reopt += migrations;
         self.counters.reopts_applied += 1;
         tel.emit(self.clock, self.counters.ticks, || {
             // The realized gain re-measures the live ledger after the
-            // commit; equal to the prediction here (the plan is applied
-            // verbatim), journaled so trace consumers can diff them.
-            let realized = self.state.predicted_latency();
+            // commit; equal to the prediction here (the preview is
+            // adopted), journaled so trace consumers can diff them.
             EventKind::ReoptCommit {
                 phase: ReoptPhase::Scheduling,
                 migrations,
@@ -1655,11 +1438,7 @@ impl Controller {
                 instances_retired: 0,
                 relocations: 0,
                 predicted_gain: gain,
-                realized_gain: if now > 0.0 {
-                    (now - realized) / now
-                } else {
-                    0.0
-                },
+                realized_gain: relative_gain(now, self.state.predicted_latency()),
             }
         });
         migrations
@@ -1672,9 +1451,8 @@ impl Controller {
     /// that add or relocate instances on a balanced predicted-latency gain,
     /// and commits the preview atomically. Returns
     /// `(instances_added, instances_retired, relocations)`.
-    #[allow(clippy::too_many_lines)]
     fn replace_phase(&mut self, tel: &mut Telemetry) -> (u64, u64, u64) {
-        let (Some(rc), Some(cluster)) = (self.config.replace, self.cluster.as_ref()) else {
+        let Some(rc) = self.config.replace else {
             return (0, 0, 0);
         };
 
@@ -1685,60 +1463,22 @@ impl Controller {
             return (0, 0, 0);
         }
 
-        // Phase 2: preview retirements. Each shrink drains the VNF's last
-        // instance onto the least-loaded accepting sibling; when any
-        // member fits nowhere the shrink is cancelled and the drained
-        // members are put back (the ledger recomputes sums from its member
-        // maps, so the restore is bit-for-bit).
+        // Phase 2: preview retirements; a shrink whose drain does not fit
+        // is cancelled (see `retire_last`).
         let mut preview = self.state.clone();
         let mut applied_shrinks: Vec<VnfId> = Vec::new();
         let mut drained_total = 0u64;
         for &vnf in &shrinks {
-            let retiring = preview.instances(vnf) - 1;
-            let mut drained: Vec<RequestId> = Vec::new();
-            let mut ok = true;
-            for id in preview.members_of(vnf, retiring) {
-                let request = self.active.get(id).expect("ledger member is active");
-                let (rate, delivery) = (request.arrival_rate(), request.delivery());
-                preview.remove_request(vnf, id);
-                let target = (0..preview.instances(vnf))
-                    .filter(|&k| k != retiring && preview.is_up(vnf, k))
-                    .filter(|&k| preview.can_accept(vnf, k, rate, delivery))
-                    .min_by(|&a, &b| {
-                        preview
-                            .instance_sum(vnf, a)
-                            .total_cmp(&preview.instance_sum(vnf, b))
-                            .then(a.cmp(&b))
-                    });
-                match target {
-                    Some(k) => {
-                        preview
-                            .add_request(vnf, k, id, rate, delivery)
-                            .expect("sibling accepted the drain");
-                        drained.push(id);
-                    }
-                    None => {
-                        preview
-                            .add_request(vnf, retiring, id, rate, delivery)
-                            .expect("origin was just vacated");
-                        for &did in &drained {
-                            let r = self.active.get(did).expect("ledger member is active");
-                            preview.remove_request(vnf, did);
-                            preview
-                                .add_request(vnf, retiring, did, r.arrival_rate(), r.delivery())
-                                .expect("origin held this request before the drain");
-                        }
-                        ok = false;
-                        break;
-                    }
+            match retire_last(&mut preview, vnf) {
+                Ok(Some(drained)) => {
+                    drained_total += drained;
+                    applied_shrinks.push(vnf);
                 }
-            }
-            if ok {
-                drained_total += drained.len() as u64;
-                preview
-                    .retire_instance(vnf)
-                    .expect("retiring instance was drained and is not the last");
-                applied_shrinks.push(vnf);
+                Ok(None) => {}
+                Err(_) => {
+                    self.decline(ReoptPhase::Replacement, "invalid-plan", 0.0, tel);
+                    return (0, 0, 0);
+                }
             }
         }
 
@@ -1747,6 +1487,9 @@ impl Controller {
         // as full, so VNFs stranded on them relocate here even without
         // emergency handling. The per-tick RNG is derived from the tick
         // count, so runs are bit-identical at any thread count.
+        let Some(cluster) = self.cluster.as_ref() else {
+            return (0, 0, 0);
+        };
         let mut rng = StdRng::seed_from_u64(rc.seed ^ self.counters.ticks);
         let fit_token = tel.begin();
         let (assignment, relocated) = fit_grows(
@@ -1767,9 +1510,7 @@ impl Controller {
         // or the whole plan (retirements included) is aborted; pure-shrink
         // plans are exempt — they trade latency for capacity by design,
         // gated by the low watermark instead.
-        for &vnf in &grows {
-            preview.add_instance(vnf).expect("vnf exists");
-        }
+        let added = grow(&mut preview, &grows);
         // `(now, gain)` of the gate when it ran, for the journal record;
         // pure-shrink plans bypass it and journal zero gains.
         let mut gate: Option<(f64, f64)> = None;
@@ -1781,31 +1522,11 @@ impl Controller {
             // would strand the VNF until the node returns.
             let restores = relocated.iter().any(|&v| self.state.host_down(v));
             let now = self.state.balanced_latency();
-            let after = preview.balanced_latency();
-            let gain = if now.is_infinite() {
-                // Escaping a saturated configuration is always worth it.
-                if after.is_finite() {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else if now > 0.0 {
-                (now - after) / now
-            } else {
-                0.0
-            };
+            let gain = relative_gain(now, preview.balanced_latency());
             tel.end(Phase::HysteresisProbe, probe_token);
             gate = Some((now, gain));
             if !restores && gain < rc.min_gain {
-                self.counters.replaces_aborted += 1;
-                tel.emit(self.clock, self.counters.ticks, || {
-                    EventKind::ReoptRejected {
-                        phase: ReoptPhase::Replacement,
-                        cause: "hysteresis".to_string(),
-                        predicted_gain: gain,
-                        required_gain: rc.min_gain,
-                    }
-                });
+                self.decline(ReoptPhase::Replacement, "hysteresis", gain, tel);
                 return (0, 0, 0);
             }
         }
@@ -1813,7 +1534,6 @@ impl Controller {
         // Phase 5: commit — the previewed ledger becomes the live state
         // and the cluster adopts the (possibly repacked) assignment, with
         // host-availability recomputed from the new node mapping.
-        let added = grows.len() as u64;
         let retired = applied_shrinks.len() as u64;
         let moved = relocated.len() as u64;
         self.state = preview;
@@ -1824,13 +1544,9 @@ impl Controller {
         self.counters.relocations += moved;
         self.counters.replaces_applied += 1;
         tel.emit(self.clock, self.counters.ticks, || {
-            let (predicted_gain, realized_gain) = match gate {
-                Some((now, gain)) if now.is_finite() && now > 0.0 => {
-                    (gain, (now - self.state.balanced_latency()) / now)
-                }
-                Some((_, gain)) => (gain, gain),
-                None => (0.0, 0.0),
-            };
+            let (predicted_gain, realized_gain) = gate.map_or((0.0, 0.0), |(now, gain)| {
+                (gain, relative_gain(now, self.state.balanced_latency()))
+            });
             EventKind::ReoptCommit {
                 phase: ReoptPhase::Replacement,
                 migrations: drained_total,
@@ -1858,30 +1574,32 @@ impl Controller {
         let Some(rc) = self.config.refiner else {
             return 0;
         };
-        let Some(cluster) = self.cluster.clone() else {
+        let Some(cluster) = self.cluster.as_ref() else {
             return 0;
         };
         // Quiet-tick gate: outage ticks belong to the recovery machinery,
         // and a search over a degraded fleet would chase a transient
         // topology.
         let outages = self.counters.node_downs + self.counters.node_ups;
-        let quiet = !cluster.any_node_down() && outages == self.counters.outages_seen;
-        self.counters.outages_seen = outages;
+        let quiet = !cluster.any_node_down() && outages == self.outages_seen;
+        self.outages_seen = outages;
         if !quiet {
             return 0;
         }
-        let vnfs = build_vnfs(&cluster.protos, &|id| self.state.instances(id));
-        let Ok(problem) = PlacementProblem::new(cluster.nodes.clone(), vnfs) else {
+        let Some(problem) = problem_with_counts(cluster.nodes.clone(), &cluster.protos, |id| {
+            self.state.instances(id)
+        }) else {
             return 0;
         };
+        let live = cluster.assignment.clone();
         let mut config = match rc.engine {
             Engine::Ga => SearchConfig::ga(rc.seed ^ self.counters.ticks),
             Engine::Pso => SearchConfig::pso(rc.seed ^ self.counters.ticks),
         };
         config.population = rc.population.max(1);
         config.weights = rc.weights;
-        let config = config.with_initial(cluster.assignment.clone());
-        let incumbent = objective(&problem, &cluster.assignment, &config.weights);
+        let config = config.with_initial(live.clone());
+        let incumbent = objective(&problem, &live, &config.weights);
         let Ok(mut run) = SearchRun::new(&problem, &config) else {
             return 0;
         };
@@ -1890,27 +1608,16 @@ impl Controller {
             run.step();
             tel.end(Phase::SearchGeneration, token);
         }
-        let gain_of = |fit: f64| {
-            if incumbent > 0.0 {
-                (incumbent - fit) / incumbent
-            } else {
-                0.0
-            }
-        };
         let searched = run.best_assignment().to_vec();
-        let moves: Vec<usize> = (0..searched.len())
-            .filter(|&f| searched[f] != cluster.assignment[f])
+        let moves: Vec<(usize, NodeId)> = searched
+            .iter()
+            .zip(&live)
+            .enumerate()
+            .filter(|(_, (to, from))| to != from)
+            .map(|(f, (&to, _))| (f, to))
             .collect();
         if moves.is_empty() {
-            self.counters.refines_rejected += 1;
-            tel.emit(self.clock, self.counters.ticks, || {
-                EventKind::ReoptRejected {
-                    phase: ReoptPhase::Refiner,
-                    cause: "no-improvement".to_string(),
-                    predicted_gain: 0.0,
-                    required_gain: rc.min_gain,
-                }
-            });
+            self.decline(ReoptPhase::Refiner, "no-improvement", 0.0, tel);
             return 0;
         }
         // Bound the plan. Within the budget the searched assignment is
@@ -1920,62 +1627,43 @@ impl Controller {
         // intermediates score above any feasible layout, so the bounded
         // plan stays feasible move by move.
         let (plan, predicted_fitness) = if moves.len() <= rc.max_moves {
-            (searched.clone(), run.best_fitness())
+            (searched, run.best_fitness())
         } else {
             let probe_token = tel.begin();
-            let mut current = cluster.assignment.clone();
-            let mut fit = incumbent;
-            let mut remaining = moves.clone();
-            let mut applied = 0usize;
-            while applied < rc.max_moves && !remaining.is_empty() {
-                let mut best: Option<(usize, f64)> = None;
-                for (i, &f) in remaining.iter().enumerate() {
-                    let prev = current[f];
-                    current[f] = searched[f];
-                    let after = objective(&problem, &current, &config.weights);
-                    current[f] = prev;
-                    if after < fit && best.is_none_or(|(_, b)| after < b) {
-                        best = Some((i, after));
-                    }
-                }
-                let Some((i, after)) = best else { break };
-                let f = remaining.remove(i);
-                current[f] = searched[f];
-                fit = after;
-                applied += 1;
-            }
+            let mut plan = live.clone();
+            let picked = select_greedily(
+                &mut plan,
+                moves,
+                rc.max_moves,
+                incumbent,
+                |plan, (f, node)| Some((f, std::mem::replace(plan.get_mut(f)?, node))),
+                |plan| objective(&problem, plan, &config.weights),
+            );
             tel.end(Phase::HysteresisProbe, probe_token);
-            (current, fit)
+            let Some((_, fitness)) = picked else {
+                self.decline(ReoptPhase::Refiner, "invalid-plan", 0.0, tel);
+                return 0;
+            };
+            (plan, fitness)
         };
         // Hysteresis: the bounded plan must promise a relative objective
         // gain of at least `min_gain` over the live assignment.
-        let gain = gain_of(predicted_fitness);
+        let gain = relative_gain(incumbent, predicted_fitness);
         if gain < rc.min_gain {
-            self.counters.refines_rejected += 1;
-            tel.emit(self.clock, self.counters.ticks, || {
-                EventKind::ReoptRejected {
-                    phase: ReoptPhase::Refiner,
-                    cause: if gain <= 0.0 {
-                        "no-improvement".to_string()
-                    } else {
-                        "hysteresis".to_string()
-                    },
-                    predicted_gain: gain,
-                    required_gain: rc.min_gain,
-                }
-            });
+            let cause = if gain <= 0.0 {
+                "no-improvement"
+            } else {
+                "hysteresis"
+            };
+            self.decline(ReoptPhase::Refiner, cause, gain, tel);
             return 0;
         }
         debug_assert!(
             Placement::validate(&problem, &plan).is_ok(),
             "the refiner only commits feasible plans"
         );
-        let relocated = plan
-            .iter()
-            .zip(&cluster.assignment)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-        let realized = gain_of(objective(&problem, &plan, &config.weights));
+        let relocated = plan.iter().zip(&live).filter(|(a, b)| a != b).count() as u64;
+        let realized = relative_gain(incumbent, objective(&problem, &plan, &config.weights));
         self.commit_assignment(plan);
         self.counters.refines_applied += 1;
         self.counters.relocations += relocated;
@@ -1992,10 +1680,111 @@ impl Controller {
     }
 }
 
-/// Rebuilds the VNF prototypes with live instance counts, for assembling
-/// [`PlacementProblem`]s during (re-)placement.
-fn build_vnfs(protos: &[Vnf], count_of: &dyn Fn(VnfId) -> usize) -> Vec<Vnf> {
-    protos
+/// Relative gain `(now − after) / now` of moving from score `now` to
+/// `after`, 0 when `now` is not positive. Escaping a saturated (infinite)
+/// `now` counts as a full gain of 1 when `after` is finite, 0 when not.
+fn relative_gain(now: f64, after: f64) -> f64 {
+    if now.is_infinite() {
+        if after.is_finite() {
+            1.0
+        } else {
+            0.0
+        }
+    } else if now > 0.0 {
+        (now - after) / now
+    } else {
+        0.0
+    }
+}
+
+/// The bounded greedy selector behind both plan-bounding phases: tries
+/// every remaining candidate on `state` (apply, measure, undo) and
+/// commits the one measuring lowest, while it strictly improves on the
+/// current `score`, until `budget` picks. Candidates are tried in order
+/// and the first best wins ties, so the selection is deterministic.
+/// `apply` performs one candidate and returns its inverse, which must
+/// restore `state` bit for bit. Returns the picks in order and the final
+/// score, with `state` holding every pick; `None` when `state` refused a
+/// step.
+fn select_greedily<S, C: Copy>(
+    state: &mut S,
+    mut remaining: Vec<C>,
+    budget: usize,
+    mut score: f64,
+    apply: impl Fn(&mut S, C) -> Option<C>,
+    measure: impl Fn(&S) -> f64,
+) -> Option<(Vec<C>, f64)> {
+    let mut picked = Vec::with_capacity(budget.min(remaining.len()));
+    while picked.len() < budget && !remaining.is_empty() {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &candidate) in remaining.iter().enumerate() {
+            let undo = apply(state, candidate)?;
+            let after = measure(state);
+            apply(state, undo)?;
+            if after < score && best.is_none_or(|(_, b)| after < b) {
+                best = Some((i, after));
+            }
+        }
+        let Some((i, after)) = best else { break };
+        let candidate = remaining.remove(i);
+        apply(state, candidate)?;
+        picked.push(candidate);
+        score = after;
+    }
+    Some((picked, score))
+}
+
+/// Drains the VNF's last instance onto its least-loaded accepting up
+/// siblings (lowest index on ties) and retires it, returning how many
+/// requests moved. When a member fits nowhere, or the instance will not
+/// retire, the drained members move back and the shrink is cancelled
+/// (`Ok(None)`), leaving the ledger as it was bit for bit. `Err` when the
+/// ledger refused a move.
+fn retire_last(ledger: &mut ControllerState, vnf: VnfId) -> Result<Option<u64>, ControllerError> {
+    let retiring = ledger.instances(vnf).saturating_sub(1);
+    let mut drained = Vec::new();
+    for id in ledger.members_of(vnf, retiring) {
+        let target = ledger.traffic_of(vnf, id).and_then(|(rate, delivery)| {
+            (0..ledger.instances(vnf))
+                .filter(|&k| k != retiring && ledger.can_accept(vnf, k, rate, delivery))
+                .min_by(|&a, &b| {
+                    ledger
+                        .instance_sum(vnf, a)
+                        .total_cmp(&ledger.instance_sum(vnf, b))
+                        .then(a.cmp(&b))
+                })
+        });
+        let Some(k) = target else { break };
+        ledger.move_request(vnf, id, k)?;
+        drained.push(id);
+    }
+    if ledger.retire_instance(vnf).is_ok() {
+        return Ok(Some(drained.len() as u64));
+    }
+    for id in drained {
+        ledger.move_request(vnf, id, retiring)?;
+    }
+    Ok(None)
+}
+
+/// Adds one instance per entry of `grows` to the ledger, returning how
+/// many it accepted.
+fn grow(ledger: &mut ControllerState, grows: &[VnfId]) -> u64 {
+    grows
+        .iter()
+        .filter(|&&vnf| ledger.add_instance(vnf).is_ok())
+        .count() as u64
+}
+
+/// The placement problem over `nodes` with the VNF prototypes rebuilt at
+/// the given live instance counts; `None` when a count or the problem is
+/// invalid.
+fn problem_with_counts(
+    nodes: Vec<ComputeNode>,
+    protos: &[Vnf],
+    count_of: impl Fn(VnfId) -> usize,
+) -> Option<PlacementProblem> {
+    let vnfs = protos
         .iter()
         .map(|p| {
             Vnf::builder(p.id(), p.kind())
@@ -2003,9 +1792,10 @@ fn build_vnfs(protos: &[Vnf], count_of: &dyn Fn(VnfId) -> usize) -> Vec<Vnf> {
                 .instances(count_of(p.id()) as u32)
                 .service_rate(p.service_rate())
                 .build()
-                .expect("instance counts stay >= 1")
+                .ok()
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()?;
+    PlacementProblem::new(nodes, vnfs).ok()
 }
 
 /// The fit-within-budget loop shared by the tick's re-placement phase
@@ -2029,15 +1819,15 @@ fn fit_grows(
     // The prior is validated against the *full-capacity* fleet: the live
     // assignment may still map VNFs onto a dark node, which the
     // zero-capacity problem would reject.
-    let current = build_vnfs(&cluster.protos, &|id| counts.instances(id));
-    let prior = PlacementProblem::new(cluster.nodes.clone(), current)
-        .ok()
-        .and_then(|p| Placement::new(&p, cluster.assignment.clone()).ok());
+    let prior = problem_with_counts(cluster.nodes.clone(), &cluster.protos, |id| {
+        counts.instances(id)
+    })
+    .and_then(|p| Placement::new(&p, cluster.assignment.clone()).ok());
     loop {
-        let grown = build_vnfs(&cluster.protos, &|id| {
+        let grown = problem_with_counts(effective.clone(), &cluster.protos, |id| {
             counts.instances(id) + grows.iter().filter(|&&g| g == id).count()
         });
-        if let Ok(problem) = PlacementProblem::new(effective.clone(), grown) {
+        if let Some(problem) = grown {
             if fits_in_place(&problem, &cluster.assignment) {
                 return (cluster.assignment.clone(), Vec::new());
             }
@@ -2260,6 +2050,26 @@ mod tests {
         assert_eq!(report.shed, 1);
         assert_eq!(report.admitted, m as u64 + 1);
         assert!(controller.state().home_of(vnf.id(), small.id()).is_some());
+    }
+
+    #[test]
+    fn a_ledger_member_missing_from_the_active_set_rejects_its_rearrival() {
+        // A restored snapshot whose ledger holds a request its active set
+        // lacks: the re-arrival of that id is refused and its written
+        // hops unwound, instead of panicking on the duplicate assignment.
+        let s = scenario();
+        let mut controller = Controller::new(&s, ControllerConfig::online_only());
+        replay(&mut controller, &base_trace(&s));
+        let ghost = s.requests()[0].clone();
+        let mut snapshot = controller.checkpoint();
+        snapshot.active.retain(|r| r.id() != ghost.id());
+        let mut restored = Controller::new(&s, ControllerConfig::online_only());
+        restored.restore(&snapshot).unwrap();
+        let ledger = restored.state().clone();
+        let outcome = restored.handle(&TimedEvent::new(60.0, ChurnEvent::Arrival(ghost)));
+        assert_eq!(outcome, EventOutcome::Rejected(RejectReason::DuplicateId));
+        assert_eq!(restored.state(), &ledger, "no hop stays written");
+        assert_eq!(restored.report().rejected, 1);
     }
 
     /// A fleet where each node can hold everything twice over, so instance

@@ -29,6 +29,13 @@ pub enum ControllerError {
         /// The already-assigned request.
         request: RequestId,
     },
+    /// A move named a request that no instance of this VNF holds.
+    NotAssigned {
+        /// The VNF addressed.
+        vnf: VnfId,
+        /// The unassigned request.
+        request: RequestId,
+    },
     /// The re-optimization scheduler failed (surfaced, never expected for
     /// non-empty live request sets).
     Scheduling(SchedulingError),
@@ -62,6 +69,9 @@ impl fmt::Display for ControllerError {
             }
             Self::DuplicateAssignment { vnf, request } => {
                 write!(f, "{request} is already assigned on {vnf}")
+            }
+            Self::NotAssigned { vnf, request } => {
+                write!(f, "{request} is not assigned on {vnf}")
             }
             Self::Scheduling(err) => write!(f, "re-optimization failed: {err}"),
             Self::InstanceOccupied { vnf, instance } => {

@@ -270,18 +270,6 @@ impl ControllerState {
         self.slab(vnf).is_some_and(|l| l.instance_up(instance))
     }
 
-    /// Marks an instance up or down — a convenience wrapper over
-    /// [`mark_down`](Self::mark_down) / [`mark_up`](Self::mark_up) that
-    /// discards the staleness verdict. Out-of-range coordinates are
-    /// ignored (a trace may name an instance the scenario doesn't have).
-    pub fn set_up(&mut self, vnf: VnfId, instance: usize, up: bool) {
-        if up {
-            self.mark_up(vnf, instance);
-        } else {
-            self.mark_down(vnf, instance);
-        }
-    }
-
     /// Opens one outage window on an instance (outage depth `+= 1`).
     /// Returns `false` — and changes nothing — when the coordinates don't
     /// name a live instance, so the caller can count the event as stale.
@@ -453,21 +441,85 @@ impl ControllerState {
         Some(instance)
     }
 
+    /// Moves a request's stored member — id, rate, delivery and the
+    /// precomputed inflated rate — from whatever instance of `vnf` holds
+    /// it onto instance `to`, returning the instance it left. A pure move
+    /// with no admission check: the ledger ends `==` to
+    /// [`remove_request`](Self::remove_request) followed by
+    /// [`add_request`](Self::add_request) with the stored rates, bit for
+    /// bit, and moving back to the returned instance undoes it.
+    ///
+    /// # Errors
+    ///
+    /// [`ControllerError::UnknownVnf`] / [`ControllerError::NoSuchInstance`]
+    /// for bad coordinates, [`ControllerError::NotAssigned`] when no
+    /// instance of `vnf` holds the request. The ledger is unchanged on
+    /// error.
+    pub fn move_request(
+        &mut self,
+        vnf: VnfId,
+        id: RequestId,
+        to: usize,
+    ) -> Result<usize, ControllerError> {
+        let slab = self.slab_or_err(vnf)?;
+        if to >= slab.members.len() {
+            return Err(ControllerError::NoSuchInstance { vnf, instance: to });
+        }
+        let (from, pos) = slab
+            .find(id)
+            .ok_or(ControllerError::NotAssigned { vnf, request: id })?;
+        let member = slab.members[from].remove(pos);
+        slab.recompute(from);
+        let at = slab.members[to].partition_point(|m| m.id < id);
+        slab.members[to].insert(at, member);
+        slab.recompute(to);
+        Ok(from)
+    }
+
     /// The instance of `vnf` currently serving `id`.
     #[must_use]
     pub fn home_of(&self, vnf: VnfId, id: RequestId) -> Option<usize> {
         self.slab(vnf).and_then(|l| l.find(id)).map(|(k, _)| k)
     }
 
-    /// Ids of every request assigned to any instance of `vnf`, ascending.
+    /// The arrival rate and delivery probability stored for `id` on `vnf`,
+    /// or `None` if no instance of `vnf` holds it.
     #[must_use]
-    pub fn active_ids(&self, vnf: VnfId) -> Vec<RequestId> {
+    pub(crate) fn traffic_of(
+        &self,
+        vnf: VnfId,
+        id: RequestId,
+    ) -> Option<(ArrivalRate, DeliveryProbability)> {
+        let slab = self.slab(vnf)?;
+        let (k, pos) = slab.find(id)?;
+        let member = &slab.members[k][pos];
+        Some((member.rate, member.delivery))
+    }
+
+    /// Every request assigned to any instance of `vnf` with its stored
+    /// arrival rate, in ascending id order.
+    #[must_use]
+    pub(crate) fn active_rates(&self, vnf: VnfId) -> Vec<(RequestId, ArrivalRate)> {
         let Some(slab) = self.slab(vnf) else {
             return Vec::new();
         };
-        let mut ids: Vec<RequestId> = slab.members.iter().flatten().map(|m| m.id).collect();
-        ids.sort_unstable();
-        ids
+        let mut rates: Vec<(RequestId, ArrivalRate)> = slab
+            .members
+            .iter()
+            .flatten()
+            .map(|m| (m.id, m.rate))
+            .collect();
+        rates.sort_unstable_by_key(|&(id, _)| id);
+        rates
+    }
+
+    /// Ids of every request assigned to any instance of `vnf`, ascending.
+    #[must_use]
+    pub fn active_ids(&self, vnf: VnfId) -> Vec<RequestId> {
+        self.active_rates(vnf)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Ids of the requests on one instance, ascending.
@@ -962,10 +1014,10 @@ mod tests {
             .find(|v| v.instances() >= 2)
             .unwrap()
             .id();
-        state.set_up(vnf, 0, false);
+        state.mark_down(vnf, 0);
         assert_ne!(state.least_loaded_up(vnf), Some(0));
         for k in 0..state.instances(vnf) {
-            state.set_up(vnf, k, false);
+            state.mark_down(vnf, k);
         }
         assert_eq!(state.least_loaded_up(vnf), None);
     }
@@ -1042,7 +1094,7 @@ mod tests {
         let below = ArrivalRate::new(mu * 0.999).unwrap();
         assert!(!state.can_accept(id, 0, exact, DeliveryProbability::PERFECT));
         assert!(state.can_accept(id, 0, below, DeliveryProbability::PERFECT));
-        state.set_up(id, 0, false);
+        state.mark_down(id, 0);
         assert!(!state.can_accept(id, 0, below, DeliveryProbability::PERFECT));
     }
 
@@ -1091,6 +1143,56 @@ mod tests {
             Err(ControllerError::UnknownVnf { .. })
         ));
         assert_eq!(state.remove_request(vnf, RequestId::new(4242)), None);
+    }
+
+    #[test]
+    fn move_request_errors_are_typed_and_change_nothing() {
+        let (scenario, mut state) = state();
+        let request = &scenario.requests()[0];
+        let vnf = request.chain().as_slice()[0];
+        state
+            .add_request(
+                vnf,
+                0,
+                request.id(),
+                request.arrival_rate(),
+                request.delivery(),
+            )
+            .unwrap();
+        let before = state.clone();
+        let ghost = VnfId::new(9_999);
+        assert_eq!(
+            state.move_request(ghost, request.id(), 0),
+            Err(ControllerError::UnknownVnf { vnf: ghost })
+        );
+        let beyond = state.instances(vnf);
+        assert_eq!(
+            state.move_request(vnf, request.id(), beyond),
+            Err(ControllerError::NoSuchInstance {
+                vnf,
+                instance: beyond
+            })
+        );
+        let stranger = RequestId::new(4242);
+        assert_eq!(
+            state.move_request(vnf, stranger, 0),
+            Err(ControllerError::NotAssigned {
+                vnf,
+                request: stranger
+            })
+        );
+        assert_eq!(state, before, "a refused move changes nothing");
+        // A move reports the instance it left; moving back restores the
+        // ledger.
+        let last = state.instances(vnf) - 1;
+        assert_eq!(state.move_request(vnf, request.id(), last), Ok(0));
+        assert_eq!(state.home_of(vnf, request.id()), Some(last));
+        assert_eq!(
+            state.traffic_of(vnf, request.id()),
+            Some((request.arrival_rate(), request.delivery()))
+        );
+        assert_eq!(state.move_request(vnf, request.id(), 0), Ok(last));
+        assert_eq!(state, before);
     }
 
     #[test]
@@ -1221,7 +1323,7 @@ mod tests {
         );
         // A loaded VNF with no up instance projects unbounded latency.
         for k in 0..state.instances(vnf) {
-            state.set_up(vnf, k, false);
+            state.mark_down(vnf, k);
         }
         assert_eq!(state.balanced_latency(), f64::INFINITY);
     }

@@ -12,8 +12,8 @@
 //!
 //! - [`ControllerState`] — a load ledger tracking, per VNF instance, the
 //!   Kleinrock-merged loss-inflated arrival rate (Eq. (7) of the paper)
-//!   with incremental `add_request` / `remove_request` updates that restore
-//!   sums bit-for-bit.
+//!   with incremental `add_request` / `remove_request` / `move_request`
+//!   updates that restore sums bit-for-bit.
 //! - [`Controller`] — the event loop. Arrivals are dispatched to the
 //!   least-loaded *up* instance of each chain hop, refused (with a typed
 //!   [`RejectReason`]) if any hop would be driven to `ρ ≥ 1`; a

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// A snapshot of the controller's counters and derived statistics, taken
 /// at a point in virtual time. Snapshots of two same-seed runs are
 /// identical field-for-field (see the determinism tests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControllerReport {
     /// Virtual time of the snapshot, seconds.
     pub time: f64,
@@ -114,8 +114,9 @@ impl ControllerReport {
     }
 
     /// Every integer counter as `(name, value)` pairs in declaration
-    /// order — the feed for the fleet's metrics registry and the flight
-    /// recorder's post-mortem dumps. Names are stable snake_case slugs.
+    /// order — the feed for the fleet's metrics registry, the flight
+    /// recorder's post-mortem dumps and [`to_json`](Self::to_json). Names
+    /// are stable snake_case slugs.
     #[must_use]
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
@@ -195,39 +196,18 @@ impl ControllerReport {
     }
 
     /// Encodes the snapshot as one flat JSON object (one journal line),
-    /// for diffing and archiving runs. Floats round-trip exactly
-    /// (shortest representation, non-finite values as strings).
+    /// for diffing and archiving runs: `time`, the [`counters`](Self::counters)
+    /// in order, then the three latency/utilization floats. Floats
+    /// round-trip exactly (shortest representation, non-finite values as
+    /// strings).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
-        obj.field_f64("time", self.time)
-            .field_u64("admitted", self.admitted)
-            .field_u64("rejected", self.rejected)
-            .field_u64("departed", self.departed)
-            .field_u64("shed", self.shed)
-            .field_u64("migrated_failover", self.migrated_failover)
-            .field_u64("migrated_reopt", self.migrated_reopt)
-            .field_u64("migrated_replace", self.migrated_replace)
-            .field_u64("ticks", self.ticks)
-            .field_u64("reopts_applied", self.reopts_applied)
-            .field_u64("reopts_skipped", self.reopts_skipped)
-            .field_u64("instances_added", self.instances_added)
-            .field_u64("instances_retired", self.instances_retired)
-            .field_u64("relocations", self.relocations)
-            .field_u64("replaces_applied", self.replaces_applied)
-            .field_u64("replaces_aborted", self.replaces_aborted)
-            .field_u64("node_downs", self.node_downs)
-            .field_u64("node_ups", self.node_ups)
-            .field_u64("stale_outage_events", self.stale_outage_events)
-            .field_u64("emergency_replaces", self.emergency_replaces)
-            .field_u64("retries_attempted", self.retries_attempted)
-            .field_u64("retry_admitted", self.retry_admitted)
-            .field_u64("retry_abandoned", self.retry_abandoned)
-            .field_u64("refines_applied", self.refines_applied)
-            .field_u64("refines_rejected", self.refines_rejected)
-            .field_u64("retry_pending", self.retry_pending)
-            .field_u64("active", self.active)
-            .field_f64("mean_latency", self.mean_latency)
+        obj.field_f64("time", self.time);
+        for (name, value) in self.counters() {
+            obj.field_u64(name, value);
+        }
+        obj.field_f64("mean_latency", self.mean_latency)
             .field_f64("current_latency", self.current_latency)
             .field_f64("peak_utilization", self.peak_utilization);
         obj.finish()
@@ -237,13 +217,15 @@ impl ControllerReport {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] when the line is malformed or a field is missing.
+    /// [`JsonError`] when the line is malformed, a field is missing, or
+    /// its keys are not exactly the ones `to_json` writes, in order — an
+    /// unknown or repeated key means another build wrote the line.
     pub fn from_json(line: &str) -> Result<Self, JsonError> {
         let fields = json::parse_object(line)?;
-        let missing = |message| JsonError { message, at: 0 };
-        let u64_of = |key| json::get_u64(&fields, key).ok_or(missing("missing integer field"));
-        let f64_of = |key| json::get_f64(&fields, key).ok_or(missing("missing float field"));
-        Ok(Self {
+        let invalid = |message| JsonError { message, at: 0 };
+        let u64_of = |key| json::get_u64(&fields, key).ok_or(invalid("missing integer field"));
+        let f64_of = |key| json::get_f64(&fields, key).ok_or(invalid("missing float field"));
+        let report = Self {
             time: f64_of("time")?,
             admitted: u64_of("admitted")?,
             rejected: u64_of("rejected")?,
@@ -274,7 +256,14 @@ impl ControllerReport {
             mean_latency: f64_of("mean_latency")?,
             current_latency: f64_of("current_latency")?,
             peak_utilization: f64_of("peak_utilization")?,
-        })
+        };
+        let keys = std::iter::once("time")
+            .chain(report.counters().into_iter().map(|(name, _)| name))
+            .chain(["mean_latency", "current_latency", "peak_utilization"]);
+        if !fields.iter().map(|(key, _)| key.as_str()).eq(keys) {
+            return Err(invalid("fields differ from this build's report"));
+        }
+        Ok(report)
     }
 }
 
@@ -374,6 +363,16 @@ mod tests {
     fn json_rejects_missing_fields() {
         assert!(ControllerReport::from_json(r#"{"time":1.0}"#).is_err());
         assert!(ControllerReport::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn json_rejects_unknown_and_repeated_keys() {
+        let line = report().to_json();
+        let unknown = format!("{},\"bogus\":1}}", &line[..line.len() - 1]);
+        assert!(ControllerReport::from_json(&unknown).is_err());
+        let repeated = line.replacen("\"shed\":1,", "\"shed\":1,\"shed\":1,", 1);
+        assert_ne!(repeated, line);
+        assert!(ControllerReport::from_json(&repeated).is_err());
     }
 
     #[test]

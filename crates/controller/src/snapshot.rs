@@ -2,10 +2,11 @@
 //!
 //! A [`ControllerSnapshot`] captures everything a controller mutates
 //! while consuming a churn trace — the ledger's member runs and outage
-//! depths, the active-request set, the retry wheel, the counters, the
-//! latency integrals and sample streams, the archived report snapshots
-//! and the cluster's dynamic assignment — but none of the static shape
-//! (scenario, config, node fleet), which the restoring side already has.
+//! depths, the active-request set, the retry wheel, the counters (one
+//! [`ControllerReport`] line), the latency integrals and sample streams,
+//! the archived report snapshots and the cluster's dynamic assignment —
+//! but none of the static shape (scenario, config, node fleet), which the
+//! restoring side already has.
 //! [`Controller::restore`] applied to a controller built from the same
 //! scenario and config rewinds it bit-for-bit: every subsequent event
 //! produces the same outcome, journal record and report as the original
@@ -34,7 +35,7 @@ use crate::ControllerReport;
 
 /// Format version written by [`ControllerSnapshot::to_jsonl`]; decoding
 /// refuses any other version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub enum SnapshotError {
         reason: &'static str,
     },
     /// The decoded snapshot does not fit the controller it was applied
-    /// to (different scenario shape, cluster presence, or counter set).
+    /// to (different scenario shape or cluster presence).
     Mismatch {
         /// What did not match.
         reason: &'static str,
@@ -93,10 +94,11 @@ pub struct ControllerSnapshot {
     pub(crate) latency_integral: f64,
     /// Predicted latency after the last handled event.
     pub(crate) current_latency: f64,
-    /// The counter block as `(name, value)` pairs in declaration order;
-    /// restore refuses a pair set that does not exactly match the
-    /// build's counter names (the versioning story for counters).
-    pub(crate) counters: Vec<(String, u64)>,
+    /// The counter block, as a report whose derived fields are unused;
+    /// its line decodes only with exactly this build's report keys.
+    pub(crate) counters: ControllerReport,
+    /// `node_downs + node_ups` at the refiner's last quiet-tick check.
+    pub(crate) outages_seen: u64,
     /// Latency samples in insertion order.
     pub(crate) latency_samples: Vec<f64>,
     /// Utilization samples in insertion order.
@@ -134,6 +136,7 @@ impl ControllerSnapshot {
             .field_f64("latency_integral", self.latency_integral)
             .field_f64("current_latency", self.current_latency)
             .field_u64("retry_seq", self.retry_seq)
+            .field_u64("outages_seen", self.outages_seen)
             .field_u64("latency_samples", self.latency_samples.len() as u64)
             .field_u64("utilization_samples", self.utilization_samples.len() as u64)
             .field_u64("reports", self.reports.len() as u64)
@@ -143,11 +146,7 @@ impl ControllerSnapshot {
             .field_u64("cluster", u64::from(self.cluster.is_some()));
         push(header.finish());
 
-        let mut counters = JsonObject::new();
-        for (name, value) in &self.counters {
-            counters.field_u64(name, *value);
-        }
-        push(counters.finish());
+        push(self.counters.to_json());
 
         let mut latency = JsonObject::new();
         latency.field_str("bits", &bits_list(&self.latency_samples));
@@ -230,6 +229,7 @@ impl ControllerSnapshot {
         let latency_integral = header_f64("latency_integral")?;
         let current_latency = header_f64("current_latency")?;
         let retry_seq = header_u64("retry_seq")?;
+        let outages_seen = header_u64("outages_seen")?;
         let count = |key: &'static str| -> Result<usize, SnapshotError> {
             usize::try_from(header_u64(key)?).map_err(|_| SnapshotError::Malformed {
                 line: at,
@@ -245,23 +245,10 @@ impl ControllerSnapshot {
         let has_cluster = header_u64("cluster")? != 0;
 
         let (at, line) = next("counters")?;
-        let counters = parse(at, line)?
-            .into_iter()
-            .map(|(key, value)| match value {
-                JsonValue::Raw(raw) => {
-                    raw.parse::<u64>()
-                        .map(|v| (key, v))
-                        .map_err(|_| SnapshotError::Malformed {
-                            line: at,
-                            reason: "counter value is not a u64",
-                        })
-                }
-                JsonValue::Str(_) => Err(SnapshotError::Malformed {
-                    line: at,
-                    reason: "counter value is not a u64",
-                }),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let counters = ControllerReport::from_json(line).map_err(|_| SnapshotError::Malformed {
+            line: at,
+            reason: "invalid counter line",
+        })?;
 
         let mut samples = |expected: usize| -> Result<Vec<f64>, SnapshotError> {
             let (at, line) = next("samples")?;
@@ -371,6 +358,7 @@ impl ControllerSnapshot {
             latency_integral,
             current_latency,
             counters,
+            outages_seen,
             latency_samples,
             utilization_samples,
             reports,
@@ -557,40 +545,24 @@ mod tests {
             clock: 12.75,
             latency_integral: 1.0 / 3.0,
             current_latency: 0.125,
-            counters: vec![("admitted".into(), 7), ("rejected".into(), 2)],
+            counters: ControllerReport {
+                admitted: 7,
+                rejected: 2,
+                ..ControllerReport::default()
+            },
+            outages_seen: 3,
             latency_samples: vec![0.1, 1.0 / 7.0, 3e-9],
             utilization_samples: vec![0.5],
             reports: vec![ControllerReport {
                 time: 1.0,
                 admitted: 1,
-                rejected: 0,
-                departed: 0,
-                shed: 0,
-                migrated_failover: 0,
-                migrated_reopt: 0,
-                migrated_replace: 0,
                 ticks: 1,
-                reopts_applied: 0,
                 reopts_skipped: 1,
-                instances_added: 0,
-                instances_retired: 0,
-                relocations: 0,
-                replaces_applied: 0,
-                replaces_aborted: 0,
-                node_downs: 0,
-                node_ups: 0,
-                stale_outage_events: 0,
-                emergency_replaces: 0,
-                retries_attempted: 0,
-                retry_admitted: 0,
-                retry_abandoned: 0,
-                refines_applied: 0,
-                refines_rejected: 0,
-                retry_pending: 0,
                 active: 1,
                 mean_latency: 0.25,
                 current_latency: 0.25,
                 peak_utilization: 0.5,
+                ..ControllerReport::default()
             }],
             slabs: vec![
                 SlabExport {
@@ -643,7 +615,9 @@ mod tests {
     fn foreign_versions_and_corruption_are_typed_errors() {
         let snapshot = sample_snapshot();
         let text = snapshot.to_jsonl();
-        let bumped = text.replacen("\"snapshot_version\":1", "\"snapshot_version\":99", 1);
+        let version = format!("\"snapshot_version\":{SNAPSHOT_VERSION}");
+        let bumped = text.replacen(&version, "\"snapshot_version\":99", 1);
+        assert_ne!(bumped, text);
         assert_eq!(
             ControllerSnapshot::from_jsonl(&bumped),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
@@ -667,5 +641,30 @@ mod tests {
             ControllerSnapshot::from_jsonl(&garbled),
             Err(SnapshotError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn a_counter_line_from_another_build_is_a_typed_error() {
+        let text = sample_snapshot().to_jsonl();
+        let counter_line = text.lines().nth(1).unwrap();
+        let malformed =
+            |line: String| ControllerSnapshot::from_jsonl(&text.replacen(counter_line, &line, 1));
+        let extra = format!("{},\"bogus\":0}}", &counter_line[..counter_line.len() - 1]);
+        assert_eq!(
+            malformed(extra),
+            Err(SnapshotError::Malformed {
+                line: 2,
+                reason: "invalid counter line"
+            })
+        );
+        let missing = counter_line.replacen("\"shed\":0,", "", 1);
+        assert_ne!(missing, counter_line);
+        assert_eq!(
+            malformed(missing),
+            Err(SnapshotError::Malformed {
+                line: 2,
+                reason: "invalid counter line"
+            })
+        );
     }
 }

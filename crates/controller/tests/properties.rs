@@ -310,9 +310,11 @@ proptest! {
 
     /// The try-apply-measure-undo discipline of the re-placement phase
     /// relies on every ledger mutation having an exact inverse: a random
-    /// interleaving of up/down toggles, request moves between instances,
-    /// and instance additions, undone in reverse order, restores the
-    /// ledger `==` bit-for-bit (cached f64 sums included).
+    /// interleaving of up/down toggles, request moves between instances
+    /// (by remove-then-add and by `move_request`), and instance additions,
+    /// undone in reverse order, restores the ledger `==` bit-for-bit
+    /// (cached f64 sums included). `move_request` is also checked against
+    /// remove-then-add on a clone at every step.
     #[test]
     fn interleaved_mutations_undo_to_identity(
         // Each op is packed into one word: kind in the low bits, then
@@ -324,7 +326,7 @@ proptest! {
             .iter()
             .map(|&w| {
                 (
-                    (w % 3) as u8,
+                    (w % 4) as u8,
                     ((w >> 2) & 0xFFFF) as usize,
                     ((w >> 18) & 0xFFFF) as usize,
                     ((w >> 34) & 0xFFFF) as usize,
@@ -344,7 +346,7 @@ proptest! {
         let before = state.clone();
 
         enum Undo {
-            SetUp(nfv_model::VnfId, usize, bool),
+            Toggle(nfv_model::VnfId, usize, bool),
             MoveBack(nfv_model::VnfId, RequestId, usize),
             Retire(nfv_model::VnfId),
         }
@@ -356,8 +358,12 @@ proptest! {
                     // Toggle an instance's up flag.
                     let k = b % state.instances(vnf);
                     let was = state.is_up(vnf, k);
-                    state.set_up(vnf, k, !was);
-                    undo.push(Undo::SetUp(vnf, k, was));
+                    if was {
+                        state.mark_down(vnf, k);
+                    } else {
+                        state.mark_up(vnf, k);
+                    }
+                    undo.push(Undo::Toggle(vnf, k, was));
                 }
                 1 => {
                     // Move one request of the VNF to another instance
@@ -379,6 +385,30 @@ proptest! {
                         .unwrap();
                     undo.push(Undo::MoveBack(vnf, id, origin));
                 }
+                2 => {
+                    // The ledger-native move must leave exactly the ledger
+                    // remove-then-add leaves, including a move onto the
+                    // request's own instance.
+                    let ids = state.active_ids(vnf);
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let id = ids[b % ids.len()];
+                    let target = c % state.instances(vnf);
+                    let request = s.requests().iter().find(|r| r.id() == id).unwrap();
+                    let mut reference = state.clone();
+                    let origin = reference.remove_request(vnf, id).unwrap();
+                    reference
+                        .add_request(vnf, target, id, request.arrival_rate(), request.delivery())
+                        .unwrap();
+                    prop_assert_eq!(state.move_request(vnf, id, target), Ok(origin));
+                    prop_assert_eq!(&state, &reference);
+                    prop_assert_eq!(
+                        state.balanced_latency().to_bits(),
+                        reference.balanced_latency().to_bits()
+                    );
+                    undo.push(Undo::MoveBack(vnf, id, origin));
+                }
                 _ => {
                     state.add_instance(vnf).unwrap();
                     undo.push(Undo::Retire(vnf));
@@ -395,7 +425,13 @@ proptest! {
         }
         for op in undo.into_iter().rev() {
             match op {
-                Undo::SetUp(vnf, k, was) => state.set_up(vnf, k, was),
+                Undo::Toggle(vnf, k, was) => {
+                    if was {
+                        state.mark_up(vnf, k);
+                    } else {
+                        state.mark_down(vnf, k);
+                    }
+                }
                 Undo::MoveBack(vnf, id, origin) => {
                     let request = s.requests().iter().find(|r| r.id() == id).unwrap();
                     state.remove_request(vnf, id);

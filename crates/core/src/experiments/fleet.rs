@@ -42,7 +42,6 @@ pub fn fleet_spec(tenants: usize, shards: usize, seed: u64) -> FleetSpec {
         channel_capacity: 32,
         rebalance_every: 1,
         seed,
-        telemetry: true,
         // Tighter than the smoke default (0.05s): the fleet points run
         // per-tenant balanced latencies of ~2–14ms, so a 10ms SLO keeps
         // the violation counter live in the experiment tables.

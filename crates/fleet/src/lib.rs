@@ -67,7 +67,7 @@ mod handoff;
 mod shard;
 
 use nfv_controller::{Controller, ControllerConfig, ControllerReport};
-use nfv_metrics::Histogram;
+use nfv_metrics::{sorted_percentile, Histogram};
 use nfv_parallel::{catch_task, default_threads, derive_seed, TaskPanic};
 use nfv_telemetry::{
     EventKind, Phase, PhaseProfile, Postmortem, Registry, SpanTree, Stopwatch, Telemetry,
@@ -193,8 +193,6 @@ pub struct FleetSpec {
     pub rebalance_every: u64,
     /// Fleet seed; every tenant seed derives from it.
     pub seed: u64,
-    /// Whether tenants record telemetry journals.
-    pub telemetry: bool,
     /// Whether the run records the observability plane: the causal span
     /// tree, the metrics registry, per-tenant latency percentiles, the
     /// SLO-violation counter, and flight-recorder post-mortems. Purely
@@ -229,7 +227,6 @@ impl FleetSpec {
             channel_capacity: 16,
             rebalance_every: 1,
             seed: 11,
-            telemetry: true,
             observability: true,
             slo_latency: 0.05,
             controller: ControllerConfig::periodic_reopt(),
@@ -482,24 +479,6 @@ fn fixed_histogram((lo, hi, bins): (f64, f64, usize)) -> Option<Histogram> {
     Histogram::new(lo, hi, bins)
 }
 
-/// The `q`-quantile of an ascending slice, matching
-/// [`nfv_metrics::SampleSet::percentile`] (Hyndman–Fan type 7): rank
-/// `q·(n−1)`, linear interpolation between neighbors, 0 when empty.
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let rank = q * (sorted.len() - 1) as f64;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let lo = rank.floor() as usize;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let hi = rank.ceil() as usize;
-    #[allow(clippy::cast_precision_loss)]
-    let frac = rank - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// Folds one tenant's final state into the fleet registry and returns
 /// its latency percentiles: balanced-latency samples into the tenant's
 /// latency histogram (built locally and inserted once — per-sample
@@ -554,9 +533,9 @@ fn observe_tenant(
     TenantLatencyStats {
         tenant,
         samples: scratch.len() as u64,
-        p50: percentile_sorted(scratch, 0.5),
-        p95: percentile_sorted(scratch, 0.95),
-        p99: percentile_sorted(scratch, 0.99),
+        p50: sorted_percentile(scratch, 0.5),
+        p95: sorted_percentile(scratch, 0.95),
+        p99: sorted_percentile(scratch, 0.99),
     }
 }
 
@@ -739,16 +718,11 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     let mut pending: Vec<Option<TimedEvent>> = (0..spec.tenants).map(|_| None).collect();
     let mut shards: Vec<Shard> = (0..spec.shards).map(Shard::new).collect();
     for (t, scenario) in scenarios.iter().enumerate() {
-        let telemetry = if spec.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
         shards[t % spec.shards].install(TenantSlot::new(
             TenantId::new(t as u32),
             Controller::new(scenario, spec.controller),
             EventChannel::new(spec.channel_capacity),
-            telemetry,
+            Telemetry::enabled(),
         ));
     }
     let epochs = spec.epochs();
@@ -758,7 +732,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     // Chaos state. The chaos journal is separate from the tenant
     // journals so recoverable faults leave the merged fleet journal
     // byte-identical.
-    let mut chaos_tel = if spec.telemetry && chaos_on {
+    let mut chaos_tel = if chaos_on {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()

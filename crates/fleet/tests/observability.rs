@@ -62,7 +62,13 @@ fn disabling_observability_changes_nothing_but_the_obs_fields() {
 
 #[test]
 fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
-    let outcome = run(&spec()).unwrap();
+    // The exact sum needs the shard drains to run one after another: on
+    // more than one worker they overlap in time (see the next test).
+    let outcome = run(&FleetSpec {
+        threads: 1,
+        ..spec()
+    })
+    .unwrap();
     let spans = &outcome.spans;
     let roots = spans.roots();
     assert_eq!(roots.len(), 1, "one fleet-run root");
@@ -104,6 +110,43 @@ fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
     let table = spans.render();
     assert!(table.contains("fleet run"));
     assert!(table.contains("(other)"));
+}
+
+#[test]
+fn concurrent_shard_drains_fit_the_epoch_beside_the_serial_phases() {
+    // On two workers the `drain shard N` children overlap in time, so
+    // their sum may exceed the epoch; the serial phases plus the longest
+    // drain may not — the bound `figures profile` checks.
+    let outcome = run(&FleetSpec {
+        threads: 2,
+        ..spec()
+    })
+    .unwrap();
+    let spans = &outcome.spans;
+    let mut epochs_seen = 0;
+    for &root in &spans.roots() {
+        for epoch in spans.children(root) {
+            if !spans.label(epoch).starts_with("epoch ") {
+                continue;
+            }
+            epochs_seen += 1;
+            let (mut serial, mut longest_drain) = (0.0, 0.0f64);
+            for child in spans.children(epoch) {
+                let seconds = spans.seconds(child);
+                if spans.label(child).starts_with("drain shard ") {
+                    longest_drain = longest_drain.max(seconds);
+                } else {
+                    serial += seconds;
+                }
+            }
+            let overrun = serial + longest_drain - spans.seconds(epoch);
+            assert!(
+                overrun <= 1e-6,
+                "epoch overrun {overrun:e}s: serial {serial}s + longest drain {longest_drain}s"
+            );
+        }
+    }
+    assert_eq!(epochs_seen as u64, spec().epochs(), "one span per epoch");
 }
 
 #[test]

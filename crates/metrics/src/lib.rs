@@ -32,7 +32,7 @@ mod table;
 
 pub use histogram::Histogram;
 pub use online::OnlineStats;
-pub use samples::SampleSet;
+pub use samples::{sorted_percentile, SampleSet};
 pub use summary::Summary;
 pub use table::Table;
 

@@ -87,15 +87,7 @@ impl SampleSet {
     #[must_use]
     pub fn percentile(&mut self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must lie in [0, 1]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let sorted = self.ensure_sorted();
-        let rank = q * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        sorted_percentile(self.ensure_sorted(), q)
     }
 
     /// The median.
@@ -209,6 +201,30 @@ impl fmt::Display for SampleSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} samples", self.samples.len())
     }
+}
+
+/// The `q`-quantile (`q` in `[0, 1]`) of an ascending slice by the
+/// type-7 definition [`SampleSet::percentile`] uses: rank `q · (n − 1)`,
+/// linear interpolation between neighbors, 0 when empty. For callers
+/// that already hold sorted data.
+///
+/// # Examples
+///
+/// ```
+/// use nfv_metrics::sorted_percentile;
+/// assert_eq!(sorted_percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+/// assert_eq!(sorted_percentile(&[], 0.99), 0.0);
+/// ```
+#[must_use]
+pub fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = q * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 #[cfg(test)]

@@ -53,6 +53,9 @@ macro_rules! forward_display {
 pub struct Capacity(f64);
 
 impl Capacity {
+    /// Zero capacity: a node that can host nothing (a dark node).
+    pub const ZERO: Capacity = Capacity(0.0);
+
     /// Creates a capacity of `units` resource units.
     ///
     /// # Errors

@@ -156,7 +156,8 @@ pub enum EventKind {
     ReoptRejected {
         /// Which tick phase.
         phase: ReoptPhase,
-        /// Why (`"hysteresis"`, `"empty-plan"`).
+        /// Why: `"hysteresis"`, `"empty-plan"`, `"no-improvement"`, or
+        /// `"invalid-plan"` when the ledger refused a planned step.
         cause: String,
         /// Relative latency gain the preview promised.
         predicted_gain: f64,

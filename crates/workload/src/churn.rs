@@ -13,7 +13,7 @@
 //! at `t = 0` in id order, which lets a consumer warm up to exactly the
 //! offline problem before churn starts.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use nfv_model::{NodeId, Request, RequestId, VnfId};
@@ -306,135 +306,41 @@ impl ChurnTraceBuilder {
     /// or durations are not finite/positive where required.
     pub fn build(&self, scenario: &Scenario) -> Result<ChurnTrace, WorkloadError> {
         self.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // (time, generation sequence, event): the sequence breaks time ties
-        // deterministically, keeping the sort total despite f64 times.
-        let mut events: Vec<(f64, usize, ChurnEvent)> = Vec::new();
-        let mut seq = 0usize;
-        let mut push = |events: &mut Vec<(f64, usize, ChurnEvent)>, t: f64, e: ChurnEvent| {
-            events.push((t, seq, e));
-            seq += 1;
-        };
-
-        // Base population: the scenario's own requests arrive at t = 0 in
-        // id order, then (optionally) hold and depart.
-        for request in scenario.requests() {
-            push(&mut events, 0.0, ChurnEvent::Arrival(request.clone()));
-            if let Some(mean) = self.mean_holding {
-                let holding = sample_exp(&mut rng, 1.0 / mean);
-                if holding < self.horizon {
-                    push(&mut events, holding, ChurnEvent::Departure(request.id()));
-                }
-            }
-        }
-
-        // Churn arrivals: Poisson process of fresh requests cloned from
-        // uniformly drawn base requests.
-        let mut next_id = scenario
-            .requests()
-            .iter()
-            .map(|r| r.id().as_usize())
-            .max()
-            .map_or(0, |m| m + 1) as u32;
-        if self.arrival_rate > 0.0 {
-            let mut t = sample_exp(&mut rng, self.arrival_rate);
-            while t < self.horizon {
-                let template = &scenario.requests()[rng.gen_range(0..scenario.requests().len())];
-                let request = Request::new(
-                    RequestId::new(next_id),
-                    template.chain().clone(),
-                    template.arrival_rate(),
-                    template.delivery(),
-                );
-                next_id += 1;
-                push(&mut events, t, ChurnEvent::Arrival(request.clone()));
-                if let Some(mean) = self.mean_holding {
-                    let departs = t + sample_exp(&mut rng, 1.0 / mean);
-                    if departs < self.horizon {
-                        push(&mut events, departs, ChurnEvent::Departure(request.id()));
-                    }
-                }
-                t += sample_exp(&mut rng, self.arrival_rate);
-            }
-        }
-
-        // Instance outages: each picks a uniform (VNF, instance) pair and
-        // stays down for an exponential duration. Overlapping outages of
-        // the same instance are allowed; consumers treat Down/Up as
-        // idempotent state flips.
-        if self.outage_rate > 0.0 {
-            let mut t = sample_exp(&mut rng, self.outage_rate);
-            while t < self.horizon {
-                let vnf = &scenario.vnfs()[rng.gen_range(0..scenario.vnfs().len())];
-                let instance = rng.gen_range(0..vnf.instances() as usize);
-                push(
-                    &mut events,
-                    t,
-                    ChurnEvent::InstanceDown {
-                        vnf: vnf.id(),
-                        instance,
-                    },
-                );
-                let back = t + sample_exp(&mut rng, 1.0 / self.mean_outage);
-                if back < self.horizon {
-                    push(
-                        &mut events,
-                        back,
-                        ChurnEvent::InstanceUp {
-                            vnf: vnf.id(),
-                            instance,
-                        },
+        let (mut events, mut churn) = self.sparse_events(scenario, |rng, seq| {
+            // Churn arrivals: Poisson process of fresh requests cloned from
+            // uniformly drawn base requests — the materialized reference
+            // that `stream` re-derives lazily.
+            let mut churn = Vec::new();
+            let mut next_id = first_churn_id(scenario);
+            if self.arrival_rate > 0.0 {
+                let mut t = sample_exp(rng, self.arrival_rate);
+                while t < self.horizon {
+                    let template =
+                        &scenario.requests()[rng.gen_range(0..scenario.requests().len())];
+                    let request = Request::new(
+                        RequestId::new(next_id),
+                        template.chain().clone(),
+                        template.arrival_rate(),
+                        template.delivery(),
                     );
-                }
-                t += sample_exp(&mut rng, self.outage_rate);
-            }
-        }
-
-        // Node outages: an alternating-renewal process per fault group —
-        // single nodes, or consecutive "racks" that fail together. Groups
-        // are processed in index order and this stream is drawn *after*
-        // the instance-outage stream, so traces without node outages are
-        // bit-identical to those of earlier builders. The process is
-        // placement-agnostic: whichever VNFs sit on the node when the
-        // event fires are the ones affected.
-        if let Some(mtbf) = self.node_mtbf {
-            if self.node_fleet > 0 {
-                let rack = self.rack_size.max(1);
-                for first in (0..self.node_fleet).step_by(rack) {
-                    let members: Vec<NodeId> = (first..(first + rack).min(self.node_fleet))
-                        .map(|n| NodeId::new(n as u32))
-                        .collect();
-                    let mut t = sample_exp(&mut rng, 1.0 / mtbf);
-                    while t < self.horizon {
-                        for &node in &members {
-                            push(&mut events, t, ChurnEvent::NodeDown { node });
+                    next_id += 1;
+                    let id = request.id();
+                    churn.push((t, *seq, ChurnEvent::Arrival(request)));
+                    *seq += 1;
+                    if let Some(mean) = self.mean_holding {
+                        let departs = t + sample_exp(rng, 1.0 / mean);
+                        if departs < self.horizon {
+                            churn.push((departs, *seq, ChurnEvent::Departure(id)));
+                            *seq += 1;
                         }
-                        let back = t + sample_exp(&mut rng, 1.0 / self.node_mttr);
-                        if back < self.horizon {
-                            for &node in &members {
-                                push(&mut events, back, ChurnEvent::NodeUp { node });
-                            }
-                        }
-                        t = back + sample_exp(&mut rng, 1.0 / mtbf);
                     }
+                    t += sample_exp(rng, self.arrival_rate);
                 }
             }
-        }
-
-        // Re-optimization ticks on a fixed period.
-        if let Some(period) = self.tick_period {
-            let mut t = period;
-            while t < self.horizon {
-                push(&mut events, t, ChurnEvent::ReoptimizeTick);
-                t += period;
-            }
-        }
-
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("times are finite")
-                .then(a.1.cmp(&b.1))
+            churn
         });
+        events.append(&mut churn);
+        events.sort_by(by_time_then_seq);
         Ok(ChurnTrace {
             events: events
                 .into_iter()
@@ -460,45 +366,31 @@ impl ChurnTraceBuilder {
     /// [`build`](Self::build) would.
     pub fn stream<'a>(&self, scenario: &'a Scenario) -> Result<ChurnStream<'a>, WorkloadError> {
         self.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut fixed: Vec<(f64, usize, ChurnEvent)> = Vec::new();
-        let mut seq = 0usize;
-
-        // Base population, materialized (O(scenario requests), tiny next
-        // to the churn stream): same draws, same seqs as `build`.
-        for request in scenario.requests() {
-            fixed.push((0.0, seq, ChurnEvent::Arrival(request.clone())));
-            seq += 1;
-            if let Some(mean) = self.mean_holding {
-                let holding = sample_exp(&mut rng, 1.0 / mean);
-                if holding < self.horizon {
-                    fixed.push((holding, seq, ChurnEvent::Departure(request.id())));
-                    seq += 1;
-                }
-            }
-        }
-
-        // Snapshot the RNG at the head of the churn phase, then advance
-        // the primary RNG through the phase drawing exactly what `build`
-        // draws — counting sequence numbers without materializing events,
-        // so the streams drawn *after* churn land on their exact seqs.
-        // Note a horizon-clipped departure consumes a draw but no seq.
-        let mut churn_rng = rng.clone();
-        let churn_seq = seq;
-        if self.arrival_rate > 0.0 {
-            let mut t = sample_exp(&mut rng, self.arrival_rate);
-            while t < self.horizon {
-                let _ = rng.gen_range(0..scenario.requests().len());
-                seq += 1;
-                if let Some(mean) = self.mean_holding {
-                    let departs = t + sample_exp(&mut rng, 1.0 / mean);
-                    if departs < self.horizon {
-                        seq += 1;
+        let (mut fixed, (mut churn_rng, churn_seq)) = self.sparse_events(scenario, |rng, seq| {
+            // Snapshot the RNG at the head of the churn phase, then advance
+            // the primary RNG through the phase drawing exactly what
+            // `build` draws — counting sequence numbers without
+            // materializing events, so the streams drawn *after* churn land
+            // on their exact seqs. Note a horizon-clipped departure
+            // consumes a draw but no seq.
+            let head = (rng.clone(), *seq);
+            if self.arrival_rate > 0.0 {
+                let mut t = sample_exp(rng, self.arrival_rate);
+                while t < self.horizon {
+                    let _ = rng.gen_range(0..scenario.requests().len());
+                    *seq += 1;
+                    if let Some(mean) = self.mean_holding {
+                        let departs = t + sample_exp(rng, 1.0 / mean);
+                        if departs < self.horizon {
+                            *seq += 1;
+                        }
                     }
+                    t += sample_exp(rng, self.arrival_rate);
                 }
-                t += sample_exp(&mut rng, self.arrival_rate);
             }
-        }
+            head
+        });
+        fixed.sort_by(by_time_then_seq);
         // Re-draw the first inter-arrival gap on the lazy RNG so it sits
         // exactly where `build`'s loop would be after its own first draw.
         let pending_arrival = if self.arrival_rate > 0.0 {
@@ -507,88 +399,6 @@ impl ChurnTraceBuilder {
         } else {
             None
         };
-
-        // Instance outages, materialized (sparse).
-        if self.outage_rate > 0.0 {
-            let mut t = sample_exp(&mut rng, self.outage_rate);
-            while t < self.horizon {
-                let vnf = &scenario.vnfs()[rng.gen_range(0..scenario.vnfs().len())];
-                let instance = rng.gen_range(0..vnf.instances() as usize);
-                fixed.push((
-                    t,
-                    seq,
-                    ChurnEvent::InstanceDown {
-                        vnf: vnf.id(),
-                        instance,
-                    },
-                ));
-                seq += 1;
-                let back = t + sample_exp(&mut rng, 1.0 / self.mean_outage);
-                if back < self.horizon {
-                    fixed.push((
-                        back,
-                        seq,
-                        ChurnEvent::InstanceUp {
-                            vnf: vnf.id(),
-                            instance,
-                        },
-                    ));
-                    seq += 1;
-                }
-                t += sample_exp(&mut rng, self.outage_rate);
-            }
-        }
-
-        // Node outages per fault group, materialized (sparse).
-        if let Some(mtbf) = self.node_mtbf {
-            if self.node_fleet > 0 {
-                let rack = self.rack_size.max(1);
-                for first in (0..self.node_fleet).step_by(rack) {
-                    let members: Vec<NodeId> = (first..(first + rack).min(self.node_fleet))
-                        .map(|n| NodeId::new(n as u32))
-                        .collect();
-                    let mut t = sample_exp(&mut rng, 1.0 / mtbf);
-                    while t < self.horizon {
-                        for &node in &members {
-                            fixed.push((t, seq, ChurnEvent::NodeDown { node }));
-                            seq += 1;
-                        }
-                        let back = t + sample_exp(&mut rng, 1.0 / self.node_mttr);
-                        if back < self.horizon {
-                            for &node in &members {
-                                fixed.push((back, seq, ChurnEvent::NodeUp { node }));
-                                seq += 1;
-                            }
-                        }
-                        t = back + sample_exp(&mut rng, 1.0 / mtbf);
-                    }
-                }
-            }
-        }
-
-        // Ticks, materialized (sparse).
-        if let Some(period) = self.tick_period {
-            let mut t = period;
-            while t < self.horizon {
-                fixed.push((t, seq, ChurnEvent::ReoptimizeTick));
-                seq += 1;
-                t += period;
-            }
-        }
-
-        fixed.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("times are finite")
-                .then(a.1.cmp(&b.1))
-        });
-
-        let next_id = scenario
-            .requests()
-            .iter()
-            .map(|r| r.id().as_usize())
-            .max()
-            .map_or(0, |m| m + 1) as u32;
-
         Ok(ChurnStream {
             scenario,
             horizon: self.horizon,
@@ -599,9 +409,106 @@ impl ChurnTraceBuilder {
             rng: churn_rng,
             churn_seq,
             pending_arrival,
-            next_id,
+            next_id: first_churn_id(scenario),
             departures: BinaryHeap::new(),
         })
+    }
+
+    /// The sparse streams both [`build`](Self::build) and
+    /// [`stream`](Self::stream) hold in memory, drawn from one seeded RNG
+    /// in generation order: the base population, then the churn phase
+    /// `churn` (handed the RNG and the next sequence number, which it
+    /// advances past the churn events; its result is passed through), then
+    /// instance outages, node outages and ticks. Events come back
+    /// unsorted as `(time, seq, event)`; the sequence numbers break time
+    /// ties exactly as the materialized trace does.
+    fn sparse_events<R>(
+        &self,
+        scenario: &Scenario,
+        churn: impl FnOnce(&mut StdRng, &mut usize) -> R,
+    ) -> (Vec<(f64, usize, ChurnEvent)>, R) {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut events: Vec<(f64, usize, ChurnEvent)> = Vec::new();
+        let mut seq = 0usize;
+
+        // Base population: the scenario's own requests arrive at t = 0 in
+        // id order, then (optionally) hold and depart.
+        for request in scenario.requests() {
+            events.push((0.0, seq, ChurnEvent::Arrival(request.clone())));
+            seq += 1;
+            if let Some(mean) = self.mean_holding {
+                let holding = sample_exp(&mut rng, 1.0 / mean);
+                if holding < self.horizon {
+                    events.push((holding, seq, ChurnEvent::Departure(request.id())));
+                    seq += 1;
+                }
+            }
+        }
+
+        let churned = churn(&mut rng, &mut seq);
+
+        // Instance outages: each picks a uniform (VNF, instance) pair and
+        // stays down for an exponential duration. Overlapping outages of
+        // the same instance are allowed; consumers treat Down/Up as
+        // idempotent state flips.
+        if self.outage_rate > 0.0 {
+            let mut t = sample_exp(&mut rng, self.outage_rate);
+            while t < self.horizon {
+                let vnf = &scenario.vnfs()[rng.gen_range(0..scenario.vnfs().len())];
+                let instance = rng.gen_range(0..vnf.instances() as usize);
+                let vnf = vnf.id();
+                events.push((t, seq, ChurnEvent::InstanceDown { vnf, instance }));
+                seq += 1;
+                let back = t + sample_exp(&mut rng, 1.0 / self.mean_outage);
+                if back < self.horizon {
+                    events.push((back, seq, ChurnEvent::InstanceUp { vnf, instance }));
+                    seq += 1;
+                }
+                t += sample_exp(&mut rng, self.outage_rate);
+            }
+        }
+
+        // Node outages: an alternating-renewal process per fault group —
+        // single nodes, or consecutive "racks" that fail together. Groups
+        // are processed in index order and this stream is drawn *after*
+        // the instance-outage stream, so traces without node outages are
+        // bit-identical to those of earlier builders. The process is
+        // placement-agnostic: whichever VNFs sit on the node when the
+        // event fires are the ones affected.
+        if let Some(mtbf) = self.node_mtbf {
+            let rack = self.rack_size.max(1);
+            for first in (0..self.node_fleet).step_by(rack) {
+                let members: Vec<NodeId> = (first..(first + rack).min(self.node_fleet))
+                    .map(|n| NodeId::new(n as u32))
+                    .collect();
+                let mut t = sample_exp(&mut rng, 1.0 / mtbf);
+                while t < self.horizon {
+                    for &node in &members {
+                        events.push((t, seq, ChurnEvent::NodeDown { node }));
+                        seq += 1;
+                    }
+                    let back = t + sample_exp(&mut rng, 1.0 / self.node_mttr);
+                    if back < self.horizon {
+                        for &node in &members {
+                            events.push((back, seq, ChurnEvent::NodeUp { node }));
+                            seq += 1;
+                        }
+                    }
+                    t = back + sample_exp(&mut rng, 1.0 / mtbf);
+                }
+            }
+        }
+
+        // Re-optimization ticks on a fixed period.
+        if let Some(period) = self.tick_period {
+            let mut t = period;
+            while t < self.horizon {
+                events.push((t, seq, ChurnEvent::ReoptimizeTick));
+                seq += 1;
+                t += period;
+            }
+        }
+        (events, churned)
     }
 
     fn validate(&self) -> Result<(), WorkloadError> {
@@ -875,6 +782,23 @@ impl Iterator for ChurnStream<'_> {
 fn sample_exp(rng: &mut StdRng, rate: f64) -> f64 {
     let u: f64 = rng.gen();
     -(1.0 - u).ln() / rate
+}
+
+/// The id of the first churn arrival: one past the largest base id.
+fn first_churn_id(scenario: &Scenario) -> u32 {
+    scenario
+        .requests()
+        .iter()
+        .map(|r| r.id().as_usize())
+        .max()
+        .map_or(0, |m| m + 1) as u32
+}
+
+/// The trace order: numeric time, generation sequence on ties.
+fn by_time_then_seq(a: &(f64, usize, ChurnEvent), b: &(f64, usize, ChurnEvent)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .expect("times are finite")
+        .then(a.1.cmp(&b.1))
 }
 
 #[cfg(test)]
