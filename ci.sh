@@ -21,6 +21,9 @@ cargo test -q --workspace
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== perfbench self-tests (smoke runs of every workload against the crates' public API) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== anytime figure (searchers must reach the greedy placers and the exact oracle) =="
 cargo run -q --release -p nfv-bench --bin figures -- anytime --reps 2
 

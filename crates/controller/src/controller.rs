@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::active::ActiveSet;
+use crate::ledger::Holding;
 use crate::retry::RetryQueue;
 use crate::snapshot::{ControllerSnapshot, SnapshotError};
 use crate::{
@@ -197,8 +198,6 @@ pub struct Controller {
     /// Predicted latency after the last handled event.
     current_latency: f64,
     latency_samples: SampleSet,
-    utilization_samples: SampleSet,
-    snapshots: Vec<ControllerReport>,
     cluster: Option<Cluster>,
     retry: RetryQueue,
 }
@@ -217,8 +216,6 @@ impl Controller {
             latency_integral: 0.0,
             current_latency: 0.0,
             latency_samples: SampleSet::new(),
-            utilization_samples: SampleSet::new(),
-            snapshots: Vec::new(),
             cluster: None,
             retry: RetryQueue::default(),
         }
@@ -307,8 +304,6 @@ impl Controller {
             counters: self.counters.clone(),
             outages_seen: self.outages_seen,
             latency_samples: self.latency_samples.as_slice().to_vec(),
-            utilization_samples: self.utilization_samples.as_slice().to_vec(),
-            reports: self.snapshots.clone(),
             slabs: self.state.export(),
             active: self.active.export(),
             retry_seq,
@@ -368,8 +363,6 @@ impl Controller {
         self.latency_integral = snapshot.latency_integral;
         self.current_latency = snapshot.current_latency;
         self.latency_samples = snapshot.latency_samples.iter().copied().collect();
-        self.utilization_samples = snapshot.utilization_samples.iter().copied().collect();
-        self.snapshots.clone_from(&snapshot.reports);
         self.retry = RetryQueue::import(snapshot.retry_seq, snapshot.retry_entries.clone());
         Ok(())
     }
@@ -442,15 +435,12 @@ impl Controller {
         }
     }
 
-    /// Refreshes the predicted latency, pushes the per-event samples, and
-    /// — on a tick — records the periodic snapshot.
+    /// Refreshes the predicted latency, pushes the per-event latency
+    /// sample, and — on a tick — offers the tick sample to telemetry.
     fn post_event(&mut self, tick: bool, tel: &mut Telemetry) {
         self.current_latency = self.state.predicted_latency();
         self.latency_samples.push(self.current_latency);
-        self.utilization_samples.push(self.peak_utilization());
         if tick {
-            let snapshot = self.report();
-            self.snapshots.push(snapshot);
             tel.sample_tick(|| self.tick_sample());
         }
     }
@@ -663,7 +653,6 @@ impl Controller {
             }
             self.current_latency = self.state.predicted_latency();
             self.latency_samples.push(self.current_latency);
-            self.utilization_samples.push(self.peak_utilization());
         }
         tel.end(Phase::RetryDrain, token);
     }
@@ -709,22 +698,10 @@ impl Controller {
         }
     }
 
-    /// The per-tick report snapshots collected so far.
-    #[must_use]
-    pub fn snapshots(&self) -> &[ControllerReport] {
-        &self.snapshots
-    }
-
     /// Histogram of the predicted latency observed after each event.
     #[must_use]
     pub fn latency_histogram(&self, bins: usize) -> Option<Histogram> {
         Histogram::fitted(self.latency_samples.as_slice(), bins)
-    }
-
-    /// Histogram of the peak instance utilization after each event.
-    #[must_use]
-    pub fn utilization_histogram(&self, bins: usize) -> Option<Histogram> {
-        Histogram::fitted(self.utilization_samples.as_slice(), bins)
     }
 
     /// Snapshot of counters and derived statistics at the current clock.
@@ -740,16 +717,9 @@ impl Controller {
                 self.current_latency
             },
             current_latency: self.current_latency,
-            peak_utilization: self.peak_utilization(),
+            peak_utilization: self.state.peak_utilization(),
             ..self.counters.clone()
         }
-    }
-
-    fn peak_utilization(&self) -> f64 {
-        // Delegated to the ledger's alloc-free fleet sweep; `max` over the
-        // per-instance ratios is order-independent, so the value is
-        // unchanged from the old per-VNF loop.
-        self.state.peak_utilization()
     }
 
     /// Admission: pick the least-loaded up instance per chain hop; refuse
@@ -1340,13 +1310,13 @@ impl Controller {
         // scheduler) and collect the requests whose current instance
         // differs from the target, in (VNF, id) order for determinism.
         let plan_token = tel.begin();
-        let mut moves: Vec<(RequestId, VnfId, usize)> = Vec::new();
+        let mut moves: Vec<Move> = Vec::new();
         for vnf in self.state.vnf_ids() {
-            let (ids, rates): (Vec<RequestId>, Vec<ArrivalRate>) =
-                self.state.active_rates(vnf).into_iter().unzip();
-            if ids.is_empty() {
+            let holdings = self.state.holdings(vnf);
+            if holdings.is_empty() {
                 continue;
             }
+            let rates: Vec<ArrivalRate> = holdings.iter().map(|h| h.rate).collect();
             // Plan only over the instances that are actually up; the
             // schedule's indices are mapped back to real instance numbers.
             let ups: Vec<usize> = (0..self.state.instances(vnf))
@@ -1360,10 +1330,10 @@ impl Controller {
                 // plan" rather than aborting the run.
                 continue;
             };
-            for (i, &id) in ids.iter().enumerate() {
-                let target = ups[schedule.instance_of(i)];
-                if self.state.home_of(vnf, id) != Some(target) {
-                    moves.push((id, vnf, target));
+            for (i, &member) in holdings.iter().enumerate() {
+                let to = ups[schedule.instance_of(i)];
+                if member.home != to {
+                    moves.push(Move { vnf, member, to });
                 }
             }
         }
@@ -1379,14 +1349,16 @@ impl Controller {
         // pick the moves greedily by marginal predicted-latency gain — an
         // arbitrary prefix of a full rebalance is often infeasible or even
         // harmful, because each move's target only has room once *other*
-        // movers have left. A move the ledger refuses declines the plan.
+        // movers have left. Each move's O(1) latency interval spares the
+        // exact probe of every move that cannot be the best. A move the
+        // ledger refuses declines the plan.
         let probe_token = tel.begin();
         let now = self.state.predicted_latency();
         let mut preview = self.state.clone();
         let selected = if moves.len() <= reopt.max_migrations {
             moves
                 .iter()
-                .all(|&(id, vnf, to)| preview.move_request(vnf, id, to).is_ok())
+                .all(|&m| apply_move(&mut preview, m).is_some())
                 .then(|| (moves, preview.predicted_latency()))
         } else {
             select_greedily(
@@ -1394,11 +1366,9 @@ impl Controller {
                 moves,
                 reopt.max_migrations,
                 now,
-                |ledger, (id, vnf, to)| {
-                    let from = ledger.move_request(vnf, id, to).ok()?;
-                    Some((id, vnf, from))
-                },
+                apply_move,
                 ControllerState::predicted_latency,
+                Some(&move_bounds),
             )
         };
         tel.end(Phase::HysteresisProbe, probe_token);
@@ -1638,6 +1608,7 @@ impl Controller {
                 incumbent,
                 |plan, (f, node)| Some((f, std::mem::replace(plan.get_mut(f)?, node))),
                 |plan| objective(&problem, plan, &config.weights),
+                None,
             );
             tel.end(Phase::HysteresisProbe, probe_token);
             let Some((_, fitness)) = picked else {
@@ -1697,8 +1668,11 @@ fn relative_gain(now: f64, after: f64) -> f64 {
     }
 }
 
+/// Encloses each candidate's measure on a state, for [`select_greedily`].
+type Intervals<'a, S, C> = &'a dyn Fn(&S, &[C]) -> Vec<(f64, f64)>;
+
 /// The bounded greedy selector behind both plan-bounding phases: tries
-/// every remaining candidate on `state` (apply, measure, undo) and
+/// the remaining candidates on `state` (apply, measure, undo) and
 /// commits the one measuring lowest, while it strictly improves on the
 /// current `score`, until `budget` picks. Candidates are tried in order
 /// and the first best wins ties, so the selection is deterministic.
@@ -1706,6 +1680,13 @@ fn relative_gain(now: f64, after: f64) -> f64 {
 /// restore `state` bit for bit. Returns the picks in order and the final
 /// score, with `state` holding every pick; `None` when `state` refused a
 /// step.
+///
+/// `interval`, when given, encloses each remaining candidate's measure
+/// (`(-∞, ∞)` for one it cannot bound). A candidate whose lower end lies
+/// above the lowest upper end, or at or above `score`, cannot be the
+/// first best, so only the others are tried. Every candidate that could
+/// be the first best is still measured exactly, in order, so the picks,
+/// the score and `state` match the selection that tries them all.
 fn select_greedily<S, C: Copy>(
     state: &mut S,
     mut remaining: Vec<C>,
@@ -1713,11 +1694,25 @@ fn select_greedily<S, C: Copy>(
     mut score: f64,
     apply: impl Fn(&mut S, C) -> Option<C>,
     measure: impl Fn(&S) -> f64,
+    interval: Option<Intervals<'_, S, C>>,
 ) -> Option<(Vec<C>, f64)> {
     let mut picked = Vec::with_capacity(budget.min(remaining.len()));
     while picked.len() < budget && !remaining.is_empty() {
+        let bounds = interval.map(|interval| interval(state, &remaining));
+        let reach = bounds.as_ref().map_or(f64::INFINITY, |bounds| {
+            bounds
+                .iter()
+                .map(|&(_, hi)| hi)
+                .fold(f64::INFINITY, f64::min)
+        });
         let mut best: Option<(usize, f64)> = None;
         for (i, &candidate) in remaining.iter().enumerate() {
+            if let Some(bounds) = &bounds {
+                let lo = bounds.get(i).map_or(f64::NEG_INFINITY, |&(lo, _)| lo);
+                if !(lo < score && lo <= reach) {
+                    continue;
+                }
+            }
             let undo = apply(state, candidate)?;
             let after = measure(state);
             apply(state, undo)?;
@@ -1732,6 +1727,43 @@ fn select_greedily<S, C: Copy>(
         score = after;
     }
     Some((picked, score))
+}
+
+/// One request migration the scheduling phase may pick: `member` of `vnf`
+/// leaves its home instance for `to`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Move {
+    vnf: VnfId,
+    member: Holding,
+    to: usize,
+}
+
+/// Applies `m` to the ledger and returns its inverse; `None` when the
+/// ledger refuses it.
+fn apply_move(ledger: &mut ControllerState, m: Move) -> Option<Move> {
+    let from = ledger.move_request(m.vnf, m.member.id, m.to).ok()?;
+    Some(Move {
+        vnf: m.vnf,
+        member: Holding {
+            home: m.to,
+            ..m.member
+        },
+        to: from,
+    })
+}
+
+/// Each move's predicted-latency interval on the ledger, from one fold of
+/// it (see [`ControllerState::move_latency_bounds`]).
+fn move_bounds(ledger: &ControllerState, moves: &[Move]) -> Vec<(f64, f64)> {
+    let fold = ledger.latency_fold();
+    moves
+        .iter()
+        .map(|m| {
+            fold.as_ref()
+                .and_then(|fold| ledger.move_latency_bounds(fold, m.vnf, &m.member, m.to))
+                .unwrap_or((f64::NEG_INFINITY, f64::INFINITY))
+        })
+        .collect()
 }
 
 /// Drains the VNF's last instance onto its least-loaded accepting up
@@ -1860,6 +1892,9 @@ mod tests {
     use nfv_model::{ArrivalRate, DeliveryProbability, ServiceChain};
     use nfv_workload::churn::{ChurnTrace, ChurnTraceBuilder};
     use nfv_workload::{ScenarioBuilder, ServiceRatePolicy};
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::cell::Cell;
 
     fn scenario() -> Scenario {
         ScenarioBuilder::new()
@@ -2315,11 +2350,17 @@ mod tests {
             .build(&s)
             .unwrap();
         let mut controller = Controller::new(&s, ControllerConfig::periodic_reopt());
-        replay(&mut controller, &trace);
+        let mut tick_reports = Vec::new();
+        for event in &trace {
+            controller.handle(event);
+            if matches!(event.event(), ChurnEvent::ReoptimizeTick) {
+                tick_reports.push(controller.report());
+            }
+        }
+        controller.finish_traced(trace.horizon(), &mut Telemetry::disabled());
         let latency = controller.latency_histogram(8).unwrap();
         assert_eq!(latency.count() as usize, trace.len());
-        assert!(controller.utilization_histogram(8).is_some());
-        assert_eq!(controller.snapshots().len(), 3); // ticks at 20/40/60
+        assert_eq!(tick_reports.len(), 3); // ticks at 20/40/60
     }
 
     #[test]
@@ -2439,5 +2480,97 @@ mod tests {
                 .any(|e| matches!(e.kind, EventKind::NodeUp { .. })),
             "recoveries are journaled too"
         );
+    }
+
+    /// A ledger of 3 VNFs with at least 2–6 instances each, filled below `μ` with
+    /// rates of 1–6 times `μ/40` (so equal rates, and exact ties between
+    /// moves, are common, and a move can land a target on or past `μ`),
+    /// and a move to a random other instance for about 60% of its members.
+    fn random_plan(seed: u64) -> (ControllerState, Vec<Move>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = ScenarioBuilder::new()
+            .vnfs(3)
+            .requests(30)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let mut ledger = ControllerState::new(&s);
+        let vnfs: Vec<VnfId> = ledger.vnf_ids().collect();
+        for &vnf in &vnfs {
+            let want = rng.gen_range(2..=6);
+            while ledger.instances(vnf) < want {
+                ledger.add_instance(vnf).unwrap();
+            }
+        }
+        for id in 0..rng.gen_range(10u32..150) {
+            let vnf = vnfs[rng.gen_range(0..vnfs.len())];
+            let k = rng.gen_range(0..ledger.instances(vnf));
+            let mu = ledger.service_rate(vnf).unwrap().value();
+            let rate = ArrivalRate::new(mu * f64::from(rng.gen_range(1u32..=6)) / 40.0).unwrap();
+            let delivery = DeliveryProbability::new(if rng.gen_bool(0.3) { 0.9 } else { 1.0 });
+            let delivery = delivery.unwrap();
+            if ledger.instance_sum(vnf, k) + rate.inflated_by_loss(delivery).value() < mu {
+                ledger
+                    .add_request(vnf, k, RequestId::new(id), rate, delivery)
+                    .unwrap();
+            }
+        }
+        let mut moves = Vec::new();
+        for &vnf in &vnfs {
+            let m = ledger.instances(vnf);
+            for member in ledger.holdings(vnf) {
+                if rng.gen_bool(0.6) {
+                    let to = (member.home + rng.gen_range(1..m)) % m;
+                    moves.push(Move { vnf, member, to });
+                }
+            }
+        }
+        (ledger, moves)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn bounded_selection_picks_what_exhaustive_selection_picks(
+            seed in 0u64..1_000_000,
+            budget in 1usize..10,
+        ) {
+            let (ledger, moves) = random_plan(seed);
+            let now = ledger.predicted_latency();
+            let select = |interval: Option<Intervals<'_, ControllerState, Move>>| {
+                let mut preview = ledger.clone();
+                let selected = select_greedily(
+                    &mut preview,
+                    moves.clone(),
+                    budget,
+                    now,
+                    apply_move,
+                    ControllerState::predicted_latency,
+                    interval,
+                );
+                (selected.unwrap(), preview)
+            };
+            // Every interval the bounded selection consults must hold its
+            // move's exact score.
+            let finite = Cell::new(0usize);
+            let checked = |state: &ControllerState, remaining: &[Move]| {
+                let bounds = move_bounds(state, remaining);
+                for (&m, &(lo, hi)) in remaining.iter().zip(&bounds) {
+                    let mut probe = state.clone();
+                    apply_move(&mut probe, m).unwrap();
+                    let exact = probe.predicted_latency();
+                    assert!(lo <= exact && exact <= hi, "{m:?}: {exact} outside [{lo}, {hi}]");
+                    finite.set(finite.get() + usize::from(hi.is_finite()));
+                }
+                bounds
+            };
+            let ((exact_picks, exact_score), exact_ledger) = select(None);
+            let ((picks, score), bounded_ledger) = select(Some(&checked));
+            prop_assert_eq!(picks, exact_picks);
+            prop_assert_eq!(score.to_bits(), exact_score.to_bits());
+            prop_assert!(bounded_ledger == exact_ledger);
+            prop_assert!(moves.is_empty() || finite.get() > 0, "no move was bounded");
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! search over a contiguous run.
 
 use std::cell::Cell;
+use std::cmp::Ordering;
 
 use nfv_model::{ArrivalRate, DeliveryProbability, RequestId, ServiceRate, VnfId};
 use nfv_queueing::InstanceLoad;
@@ -222,8 +223,10 @@ impl ControllerState {
         let mut index = vec![NO_VNF; table];
         let mut ids = Vec::with_capacity(entries.len());
         let mut slabs = Vec::with_capacity(entries.len());
-        for (id, slab) in entries {
-            index[id.as_usize()] = u32::try_from(ids.len()).expect("fleet fits in u32");
+        // A `VnfId` is a `u32`, so the slots below the `NO_VNF` sentinel
+        // cover the fleet.
+        for ((id, slab), slot) in entries.into_iter().zip(0..NO_VNF) {
+            index[id.as_usize()] = slot;
             ids.push(id);
             slabs.push(slab);
         }
@@ -348,11 +351,13 @@ impl ControllerState {
     #[must_use]
     pub fn least_loaded_up(&self, vnf: VnfId) -> Option<usize> {
         let slab = self.slab(vnf)?;
+        // The sums are finite, so the `Equal` fallback never fires;
+        // `total_cmp` would order them the same at ~30% more per call.
         slab.sums
             .iter()
             .enumerate()
             .filter(|&(k, _)| slab.instance_up(k))
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("sums are finite"))
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(Ordering::Equal))
             .map(|(k, _)| k)
     }
 
@@ -497,29 +502,33 @@ impl ControllerState {
     }
 
     /// Every request assigned to any instance of `vnf` with its stored
-    /// arrival rate, in ascending id order.
+    /// rates and the instance holding it, in ascending id order.
     #[must_use]
-    pub(crate) fn active_rates(&self, vnf: VnfId) -> Vec<(RequestId, ArrivalRate)> {
+    pub(crate) fn holdings(&self, vnf: VnfId) -> Vec<Holding> {
         let Some(slab) = self.slab(vnf) else {
             return Vec::new();
         };
-        let mut rates: Vec<(RequestId, ArrivalRate)> = slab
+        let mut holdings: Vec<Holding> = slab
             .members
             .iter()
-            .flatten()
-            .map(|m| (m.id, m.rate))
+            .enumerate()
+            .flat_map(|(home, run)| {
+                run.iter().map(move |m| Holding {
+                    id: m.id,
+                    rate: m.rate,
+                    inflated: m.inflated,
+                    home,
+                })
+            })
             .collect();
-        rates.sort_unstable_by_key(|&(id, _)| id);
-        rates
+        holdings.sort_unstable_by_key(|h| h.id);
+        holdings
     }
 
     /// Ids of every request assigned to any instance of `vnf`, ascending.
     #[must_use]
     pub fn active_ids(&self, vnf: VnfId) -> Vec<RequestId> {
-        self.active_rates(vnf)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        self.holdings(vnf).into_iter().map(|h| h.id).collect()
     }
 
     /// Ids of the requests on one instance, ascending.
@@ -825,38 +834,191 @@ impl ControllerState {
     /// members.
     #[must_use]
     pub fn predicted_latency(&self) -> f64 {
-        let mut weighted = 0.0;
-        let mut total_external = 0.0;
+        match self.latency_fold() {
+            None => f64::INFINITY,
+            Some(fold) if fold.external == 0.0 => 0.0,
+            Some(fold) => fold.weighted / fold.external,
+        }
+    }
+
+    /// The fold behind [`predicted_latency`](Self::predicted_latency):
+    /// every non-empty instance's [`eq11_term`] and external rate, summed
+    /// in `(VNF, instance)` order. `None` when an instance lies outside
+    /// the stability domain.
+    pub(crate) fn latency_fold(&self) -> Option<LatencyFold> {
+        let mut fold = LatencyFold {
+            weighted: 0.0,
+            external: 0.0,
+            terms: 0,
+        };
         for slab in &self.slabs {
-            let mu = slab.service.value();
             for k in 0..slab.sums.len() {
                 if slab.members[k].is_empty() {
                     continue;
                 }
-                let lambda = slab.sums[k];
-                // Mm1Queue::new's stability domain: a merged rate outside it
-                // makes mean_delivery_response_time error, which the old
-                // per-member walk mapped to infinity.
-                if !(lambda.is_finite() && lambda >= 0.0 && lambda < mu) {
-                    return f64::INFINITY;
-                }
                 let ext = slab.ext[k];
-                let w = if ext == 0.0 {
-                    slab.service.mean_service_time()
-                } else {
-                    let rho = lambda / mu;
-                    (rho / (1.0 - rho)) / ext
-                };
-                weighted += ext * w;
-                total_external += ext;
+                fold.weighted += eq11_term(slab.sums[k], ext, slab.service)?;
+                fold.external += ext;
+                fold.terms += 1;
             }
         }
-        if total_external == 0.0 {
-            0.0
-        } else {
-            weighted / total_external
-        }
+        Some(fold)
     }
+
+    /// Encloses, in O(1), the [`predicted_latency`](Self::predicted_latency)
+    /// this ledger would report after moving `member` of `vnf` from its
+    /// home instance `s` to instance `t`. `fold` must be this ledger's
+    /// [`latency_fold`](Self::latency_fold). `None` when the move cannot
+    /// be bounded cheaply (bad coordinates, `t` equal to the home, a merged
+    /// rate too close to `μ` to tell); the caller then measures it.
+    ///
+    /// A move within one VNF changes four quantities of the fold: the
+    /// Eq. (11) term `ρ/(1−ρ)` and the external rate at `s` and at `t`.
+    /// Every other term keeps its bits, and the external total is
+    /// unchanged in real arithmetic. The estimate swaps the two terms in
+    /// the fold's numerator `W`, re-evaluated at `Λ_s − a` and `Λ_t + a`
+    /// (`a` the member's inflated rate), and keeps the denominator `E`.
+    /// With `γ(j) = j·u/(1 − j·u)` and `u = 2⁻⁵³`, the interval is widened,
+    /// in real arithmetic, by:
+    ///
+    /// - per re-evaluated term, `5·β/σ² + 3·γ(4)·t` (see [`moved_term`]):
+    ///   its `ρ` is within `β` of the one the ledger re-sums, the slope of
+    ///   `ρ/(1−ρ)` is at most `(2/σ)²` in between, and each side rounds at
+    ///   most four times more;
+    /// - in `W`, `3·γ(N)·S` for the current and the moved fold of at most
+    ///   `N` terms (one more than this fold's length), each within `γ(N)`
+    ///   of its real sum and at most `~1.01·S` for `S = W + t_s + t_t`, and
+    ///   `γ(4)·S` for the estimate's own four roundings;
+    /// - in `E`, `3·γ(n)` of the two runs' external sums (both runs re-sum
+    ///   the same real total, each within `γ(n)` for runs of at most `n`
+    ///   members) and `3·γ(N)·E` for the two folds.
+    ///
+    /// Fewer than 24 further roundings — the exact fold's division and the
+    /// interval's own arithmetic — each move an endpoint by at most `u`
+    /// times the upper endpoint, hence the final `γ(24)` slop.
+    pub(crate) fn move_latency_bounds(
+        &self,
+        fold: &LatencyFold,
+        vnf: VnfId,
+        member: &Holding,
+        t: usize,
+    ) -> Option<(f64, f64)> {
+        let slab = self.slab(vnf)?;
+        let s = member.home;
+        let (n_s, n_t) = (slab.members.get(s)?.len(), slab.members.get(t)?.len());
+        if s == t || n_s == 0 {
+            return None;
+        }
+        let old_term = |k: usize, run: usize| {
+            if run == 0 {
+                Some(0.0)
+            } else {
+                eq11_term(slab.sums[k], slab.ext[k], slab.service)
+            }
+        };
+        let (old_s, old_t) = (old_term(s, n_s)?, old_term(t, n_t)?);
+        let mu = slab.service.value();
+        // A source left empty drops out of the fold exactly.
+        let (new_s, err_s) = if n_s == 1 {
+            (0.0, 0.0)
+        } else {
+            moved_term((slab.sums[s] - member.inflated) / mu, n_s)?
+        };
+        let (new_t, err_t) = moved_term((slab.sums[t] + member.inflated) / mu, n_t + 1)?;
+        if new_t == f64::INFINITY {
+            return Some((f64::INFINITY, f64::INFINITY));
+        }
+        let estimate = fold.weighted - old_s - old_t + new_s + new_t;
+        let scale = fold.weighted + new_s.abs() + new_t;
+        let folds = gamma(fold.terms + 1);
+        let numerator = (gamma(4) + 3.0 * folds) * scale + 2.0 * (err_s + err_t);
+        let denominator = 3.0 * gamma(n_s.max(n_t + 1)) * (slab.ext[s] + slab.ext[t])
+            + 3.0 * folds * fold.external;
+        if fold.external <= denominator {
+            return None;
+        }
+        let hi = (estimate + numerator) / (fold.external - denominator);
+        let slop = gamma(24) * hi;
+        let lo = (estimate - numerator) / (fold.external + denominator) - slop;
+        hi.is_finite().then_some((lo, hi + slop))
+    }
+}
+
+/// A request as the scheduling phase plans it: its stored rates and the
+/// instance holding it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Holding {
+    pub(crate) id: RequestId,
+    pub(crate) rate: ArrivalRate,
+    /// The stored loss-inflated rate `λ_r/P_r`.
+    pub(crate) inflated: f64,
+    /// The instance holding the request.
+    pub(crate) home: usize,
+}
+
+/// The Eq. (11) fold over every non-empty instance, in ledger order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LatencyFold {
+    /// `Σ ext·W(f,k)`.
+    weighted: f64,
+    /// `Σ ext`.
+    external: f64,
+    /// How many instances the fold visited.
+    terms: usize,
+}
+
+/// One non-empty instance's addend `ext·W(f,k)` to the Eq. (11) fold
+/// (`ρ/(1−ρ)` up to rounding), or `None` outside `Mm1Queue::new`'s
+/// stability domain. The arithmetic replays
+/// [`InstanceLoad::mean_delivery_response_time`] operation for operation.
+fn eq11_term(lambda: f64, ext: f64, service: ServiceRate) -> Option<f64> {
+    let mu = service.value();
+    if !(lambda.is_finite() && lambda >= 0.0 && lambda < mu) {
+        return None;
+    }
+    let w = if ext == 0.0 {
+        service.mean_service_time()
+    } else {
+        let rho = lambda / mu;
+        (rho / (1.0 - rho)) / ext
+    };
+    Some(ext * w)
+}
+
+/// The estimated term `ρ/(1−ρ)` at utilization `rho` of an instance whose
+/// run (`run` members at its longest) gains or loses one member, and how
+/// far the term the ledger computes after the move can lie from it (see
+/// [`ControllerState::move_latency_bounds`]).
+///
+/// The estimate's merged rate `Λ ± a` and the ledger's re-summed one are
+/// both within `γ(run)` of the run's real sum, relative to the larger of
+/// the sums before and after, so with the two divisions by `μ` the
+/// utilizations differ by at most `β = 3·γ(run + 2)·max(1, ρ)`. For
+/// computed slack `σ = 1 − ρ ≥ 4·β` every `ρ` in between keeps a real slack
+/// of at least `σ/2`. An infinite estimate marks a merged rate surely past
+/// `μ` (the ledger's `ρ` then exceeds 1 by more than a rounding); `None`
+/// one too close to `μ` to tell.
+fn moved_term(rho: f64, run: usize) -> Option<(f64, f64)> {
+    let beta = 3.0 * gamma(run + 2) * rho.max(1.0);
+    let slack = 1.0 - rho;
+    if slack >= 4.0 * beta {
+        let term = rho / slack;
+        Some((
+            term,
+            5.0 * beta / (slack * slack) + 3.0 * gamma(4) * term.abs(),
+        ))
+    } else if rho - 2.0 * beta > 1.0 {
+        Some((f64::INFINITY, 0.0))
+    } else {
+        None
+    }
+}
+
+/// Higham's `γ(j) = j·u/(1 − j·u)`, the relative error bound of `j`
+/// roundings with unit roundoff `u = 2⁻⁵³`.
+fn gamma(j: usize) -> f64 {
+    let ju = j as f64 * (f64::EPSILON / 2.0);
+    ju / (1.0 - ju)
 }
 
 #[cfg(test)]

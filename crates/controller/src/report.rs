@@ -1,4 +1,4 @@
-//! Observability: counters and periodic snapshots.
+//! Observability: the counter block and its point-in-time snapshots.
 
 use std::fmt;
 

@@ -3,10 +3,9 @@
 //! A [`ControllerSnapshot`] captures everything a controller mutates
 //! while consuming a churn trace — the ledger's member runs and outage
 //! depths, the active-request set, the retry wheel, the counters (one
-//! [`ControllerReport`] line), the latency integrals and sample streams,
-//! the archived report snapshots and the cluster's dynamic assignment —
-//! but none of the static shape (scenario, config, node fleet), which the
-//! restoring side already has.
+//! [`ControllerReport`] line), the latency integral and sample stream and
+//! the cluster's dynamic assignment — but none of the static shape
+//! (scenario, config, node fleet), which the restoring side already has.
 //! [`Controller::restore`] applied to a controller built from the same
 //! scenario and config rewinds it bit-for-bit: every subsequent event
 //! produces the same outcome, journal record and report as the original
@@ -18,7 +17,7 @@
 //! lengths, so the parser is strictly positional; floats that must
 //! round-trip bit-exactly travel either through the journal's
 //! shortest-round-trip formatting (scalars) or as hexadecimal IEEE-754
-//! bit patterns (sample streams and rate fields). Unknown versions and
+//! bit patterns (the sample stream and rate fields). Unknown versions and
 //! shape mismatches are refused with a typed [`SnapshotError`], never a
 //! panic — a corrupt checkpoint must degrade gracefully.
 //!
@@ -35,7 +34,7 @@ use crate::ControllerReport;
 
 /// Format version written by [`ControllerSnapshot::to_jsonl`]; decoding
 /// refuses any other version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,10 +100,6 @@ pub struct ControllerSnapshot {
     pub(crate) outages_seen: u64,
     /// Latency samples in insertion order.
     pub(crate) latency_samples: Vec<f64>,
-    /// Utilization samples in insertion order.
-    pub(crate) utilization_samples: Vec<f64>,
-    /// Archived per-tick report snapshots.
-    pub(crate) reports: Vec<ControllerReport>,
     /// The ledger's dynamic state per VNF.
     pub(crate) slabs: Vec<SlabExport>,
     /// Active requests in ascending id order.
@@ -138,8 +133,6 @@ impl ControllerSnapshot {
             .field_u64("retry_seq", self.retry_seq)
             .field_u64("outages_seen", self.outages_seen)
             .field_u64("latency_samples", self.latency_samples.len() as u64)
-            .field_u64("utilization_samples", self.utilization_samples.len() as u64)
-            .field_u64("reports", self.reports.len() as u64)
             .field_u64("slabs", self.slabs.len() as u64)
             .field_u64("active", self.active.len() as u64)
             .field_u64("retry_entries", self.retry_entries.len() as u64)
@@ -151,13 +144,7 @@ impl ControllerSnapshot {
         let mut latency = JsonObject::new();
         latency.field_str("bits", &bits_list(&self.latency_samples));
         push(latency.finish());
-        let mut utilization = JsonObject::new();
-        utilization.field_str("bits", &bits_list(&self.utilization_samples));
-        push(utilization.finish());
 
-        for report in &self.reports {
-            push(report.to_json());
-        }
         for slab in &self.slabs {
             let mut obj = JsonObject::new();
             obj.field_u64("vnf", u64::from(slab.vnf))
@@ -237,8 +224,6 @@ impl ControllerSnapshot {
             })
         };
         let n_latency = count("latency_samples")?;
-        let n_utilization = count("utilization_samples")?;
-        let n_reports = count("reports")?;
         let n_slabs = count("slabs")?;
         let n_active = count("active")?;
         let n_retry = count("retry_entries")?;
@@ -250,35 +235,19 @@ impl ControllerSnapshot {
             reason: "invalid counter line",
         })?;
 
-        let mut samples = |expected: usize| -> Result<Vec<f64>, SnapshotError> {
-            let (at, line) = next("samples")?;
-            let fields = parse(at, line)?;
-            let bits = json::get_str(&fields, "bits").ok_or(SnapshotError::Malformed {
+        let (at, line) = next("samples")?;
+        let fields = parse(at, line)?;
+        let bits = json::get_str(&fields, "bits").ok_or(SnapshotError::Malformed {
+            line: at,
+            reason: "missing sample bits",
+        })?;
+        let latency_samples = parse_bits_list(bits)
+            .map_err(|reason| SnapshotError::Malformed { line: at, reason })?;
+        if latency_samples.len() != n_latency {
+            return Err(SnapshotError::Malformed {
                 line: at,
-                reason: "missing sample bits",
-            })?;
-            let values = parse_bits_list(bits)
-                .map_err(|reason| SnapshotError::Malformed { line: at, reason })?;
-            if values.len() != expected {
-                return Err(SnapshotError::Malformed {
-                    line: at,
-                    reason: "sample count disagrees with header",
-                });
-            }
-            Ok(values)
-        };
-        let latency_samples = samples(n_latency)?;
-        let utilization_samples = samples(n_utilization)?;
-
-        let mut reports = Vec::with_capacity(n_reports);
-        for _ in 0..n_reports {
-            let (at, line) = next("report")?;
-            reports.push(ControllerReport::from_json(line).map_err(|_| {
-                SnapshotError::Malformed {
-                    line: at,
-                    reason: "invalid report line",
-                }
-            })?);
+                reason: "sample count disagrees with header",
+            });
         }
 
         let mut slabs = Vec::with_capacity(n_slabs);
@@ -360,8 +329,6 @@ impl ControllerSnapshot {
             counters,
             outages_seen,
             latency_samples,
-            utilization_samples,
-            reports,
             slabs,
             active,
             retry_seq,
@@ -552,18 +519,6 @@ mod tests {
             },
             outages_seen: 3,
             latency_samples: vec![0.1, 1.0 / 7.0, 3e-9],
-            utilization_samples: vec![0.5],
-            reports: vec![ControllerReport {
-                time: 1.0,
-                admitted: 1,
-                ticks: 1,
-                reopts_skipped: 1,
-                active: 1,
-                mean_latency: 0.25,
-                current_latency: 0.25,
-                peak_utilization: 0.5,
-                ..ControllerReport::default()
-            }],
             slabs: vec![
                 SlabExport {
                     vnf: 0,

@@ -4,7 +4,8 @@ use nfv_controller::{Controller, ControllerConfig, ControllerState, ReoptConfig,
 use nfv_model::{ArrivalRate, Capacity, ComputeNode, DeliveryProbability, NodeId, RequestId};
 use nfv_placement::{Bfdsu, Placement, PlacementProblem, Placer};
 use nfv_scheduling::{OnlineDispatcher, Rckk, Scheduler};
-use nfv_workload::churn::ChurnTraceBuilder;
+use nfv_telemetry::Telemetry;
+use nfv_workload::churn::{ChurnEvent, ChurnTraceBuilder};
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -101,7 +102,7 @@ fn zero_churn_single_tick_matches_offline_rckk() {
 }
 
 /// Two controller runs over traces built from the same seed produce
-/// identical reports, snapshot for snapshot and byte for byte.
+/// identical reports, tick for tick and byte for byte.
 #[test]
 fn same_seed_runs_are_identical() {
     let run = || {
@@ -117,8 +118,15 @@ fn same_seed_runs_are_identical() {
             .build(&s)
             .unwrap();
         let mut controller = Controller::new(&s, ControllerConfig::periodic_reopt());
-        let report = controller.run_stream(trace.events().iter().cloned(), trace.horizon());
-        (report, controller.snapshots().to_vec())
+        let mut tick_reports = Vec::new();
+        for event in &trace {
+            controller.handle(event);
+            if matches!(event.event(), ChurnEvent::ReoptimizeTick) {
+                tick_reports.push(controller.report());
+            }
+        }
+        controller.finish_traced(trace.horizon(), &mut Telemetry::disabled());
+        (controller.report(), tick_reports)
     };
     let (report_a, snaps_a) = run();
     let (report_b, snaps_b) = run();

@@ -334,6 +334,7 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfv_workload::churn::ChurnEvent;
 
     #[test]
     fn four_policies_share_the_trace() {
@@ -391,15 +392,21 @@ mod tests {
         let k = config.replace.unwrap().max_instance_ops as u64;
         let mut controller =
             Controller::with_cluster(&scenario, nodes, &placement, config).unwrap();
-        controller.run_stream(trace.events().iter().cloned(), trace.horizon());
-        assert!(!controller.snapshots().is_empty());
+        let mut tick_reports = Vec::new();
+        for event in &trace {
+            controller.handle(event);
+            if matches!(event.event(), ChurnEvent::ReoptimizeTick) {
+                tick_reports.push(controller.report());
+            }
+        }
+        assert!(!tick_reports.is_empty());
         let mut prev = 0u64;
-        for snapshot in controller.snapshots() {
-            let ops = snapshot.instance_ops();
+        for report in &tick_reports {
+            let ops = report.instance_ops();
             assert!(
                 ops - prev <= k,
                 "tick at t={} performed {} instance ops, budget is {k}",
-                snapshot.time,
+                report.time,
                 ops - prev
             );
             prev = ops;

@@ -135,7 +135,7 @@ impl Search<'_> {
         pairings.sort_by_key(|p| *p != reverse);
         let mut seen: Vec<Vec<u64>> = Vec::new();
         for pairing in pairings {
-            let combined = a.combine_with_pairing(&b, &pairing);
+            let combined = a.clone().combine_with_pairing(b.clone(), |i| pairing[i]);
             // Deduplicate value-identical children.
             let key: Vec<u64> = (0..self.instances)
                 .map(|i| combined_value_bits(&combined, i))

@@ -24,7 +24,11 @@ use crate::{Schedule, Scheduler, SchedulingError};
 /// two heaviest loads apart (instead of together, cf. [`KkForward`]) keeps
 /// the spread of per-instance sums small, which directly minimizes the
 /// average M/M/1 response time of Eq. (15). Complexity `O(n·m·log m +
-/// n·log n)` (§IV.D).
+/// n·log n)` (§IV.D): each of the `n − 1` combinations sorts `m`
+/// positions and *moves* the operands' member sets into the result rather
+/// than copying them — each position keeps the larger of its two sets and
+/// appends the smaller — so a request index moves at most `log₂ n` times
+/// over the whole run.
 ///
 /// # Examples
 ///
@@ -60,7 +64,7 @@ impl Scheduler for Rckk {
         rates: &[ArrivalRate],
         instances: usize,
     ) -> Result<Schedule, SchedulingError> {
-        differencing_schedule(rates, instances, CombineOrder::Reverse)
+        differencing_schedule(rates, instances, Partition::combine_reverse)
     }
 }
 
@@ -89,14 +93,8 @@ impl Scheduler for KkForward {
         rates: &[ArrivalRate],
         instances: usize,
     ) -> Result<Schedule, SchedulingError> {
-        differencing_schedule(rates, instances, CombineOrder::Forward)
+        differencing_schedule(rates, instances, Partition::combine_forward)
     }
-}
-
-#[derive(Clone, Copy)]
-enum CombineOrder {
-    Reverse,
-    Forward,
 }
 
 /// Max-heap wrapper ordering partitions by their leading value
@@ -129,7 +127,7 @@ impl Ord for ByFirst {
 fn differencing_schedule(
     rates: &[ArrivalRate],
     instances: usize,
-    order: CombineOrder,
+    combine: impl Fn(Partition, Partition) -> Partition,
 ) -> Result<Schedule, SchedulingError> {
     check_inputs(rates, instances)?;
     let mut heap: BinaryHeap<ByFirst> = rates
@@ -140,11 +138,7 @@ fn differencing_schedule(
     while heap.len() > 1 {
         let a = heap.pop().expect("len > 1").0;
         let b = heap.pop().expect("len > 1").0;
-        let combined = match order {
-            CombineOrder::Reverse => a.combine_reverse(&b),
-            CombineOrder::Forward => a.combine_forward(&b),
-        };
-        heap.push(ByFirst(combined));
+        heap.push(ByFirst(combine(a, b)));
     }
     let final_partition = heap.pop().expect("at least one request").0;
     let assignment = final_partition.into_assignment(rates.len());
@@ -154,6 +148,7 @@ fn differencing_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::tests::combine_copying;
     use proptest::prelude::*;
 
     fn rates(values: &[f64]) -> Vec<ArrivalRate> {
@@ -227,6 +222,27 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Rckk::new().name(), "rckk");
         assert_eq!(KkForward::new().name(), "kk-forward");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn moving_combines_schedule_exactly_like_copying_ones(
+            // Half-unit rates from a short range, so equal rates (and the
+            // ties they cause in the partition list) are common.
+            halves in prop::collection::vec(1u32..24, 1..300),
+            m in 1usize..13,
+        ) {
+            let input = rates(&halves.iter().map(|&h| f64::from(h) / 2.0).collect::<Vec<_>>());
+            let reverse: Vec<usize> = (0..m).rev().collect();
+            let forward: Vec<usize> = (0..m).collect();
+            let copying = |pairing: &[usize]| {
+                differencing_schedule(&input, m, |a, b| combine_copying(&a, &b, pairing)).unwrap()
+            };
+            prop_assert_eq!(Rckk::new().schedule(&input, m).unwrap(), copying(&reverse));
+            prop_assert_eq!(KkForward::new().schedule(&input, m).unwrap(), copying(&forward));
+        }
     }
 
     proptest! {

@@ -136,8 +136,16 @@ impl TickSeries {
 }
 
 impl Default for TickSeries {
+    /// An empty series holding at most 4096 samples. Unlike
+    /// [`TickSeries::new`] it reserves no storage up front: every disabled
+    /// session's artifacts and every merge start from one, and most stay
+    /// empty.
     fn default() -> Self {
-        Self::new(4096)
+        Self {
+            capacity: 4096,
+            samples: VecDeque::new(),
+            dropped: 0,
+        }
     }
 }
 

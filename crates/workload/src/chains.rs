@@ -82,8 +82,9 @@ impl ChainGenerator {
         // Partial Fisher-Yates: shuffle a prefix of the universe.
         let mut ids: Vec<VnfId> = (0..self.universe as u32).map(VnfId::new).collect();
         ids.partial_shuffle(rng, len);
-        ids.truncate(len);
-        Ok(ServiceChain::new(ids)?)
+        // Copy out the kept prefix so the chain owns no room for the rest
+        // of the universe.
+        Ok(ServiceChain::new(ids[..len].to_vec())?)
     }
 
     /// Generates `count` chains.

@@ -341,11 +341,12 @@ impl ChurnTraceBuilder {
         });
         events.append(&mut churn);
         events.sort_by(by_time_then_seq);
+        // A fresh exact-size buffer: collecting in place would keep the
+        // larger sort tuples' allocation for the trace's whole life.
+        let mut timed = Vec::with_capacity(events.len());
+        timed.extend(events.into_iter().map(|(t, _, e)| TimedEvent::new(t, e)));
         Ok(ChurnTrace {
-            events: events
-                .into_iter()
-                .map(|(t, _, e)| TimedEvent::new(t, e))
-                .collect(),
+            events: timed,
             horizon: self.horizon,
         })
     }
@@ -848,6 +849,13 @@ mod tests {
         assert_eq!(a, b);
         let c = full_builder().seed(12).build(&s).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn built_traces_hold_no_spare_capacity() {
+        let trace = full_builder().build(&scenario()).unwrap();
+        assert!(!trace.is_empty());
+        assert_eq!(trace.events.capacity(), trace.len());
     }
 
     #[test]
