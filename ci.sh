@@ -11,7 +11,8 @@ echo "== cargo clippy (workspace, all targets, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Each test target runs once, here: the determinism audit, the panic-site
-# budget, thread invariance at 1/2/8 threads, node failure, the ledger and
+# budget, thread invariance at 1/2/8 threads, the byte-identity goldens
+# (results/golden/ and the results/ exports), node failure, the ledger and
 # retry-wheel oracles, the replay engine, anytime search, the fleet, chaos
 # recovery, observability and telemetry all live in these two runs.
 echo "== cargo test (facade + workspace) =="

@@ -37,7 +37,7 @@ impl ActiveSet {
 
     /// The live request with this id, if any.
     pub(crate) fn get(&self, id: RequestId) -> Option<&Request> {
-        self.slot(id).and_then(|s| self.slots[s].as_ref())
+        self.slot(id).and_then(|s| self.slots[s as usize].as_ref())
     }
 
     /// Inserts a request under its own id. The controller checks for
@@ -66,19 +66,18 @@ impl ActiveSet {
     /// Removes and returns the request with this id, if live.
     pub(crate) fn remove(&mut self, id: RequestId) -> Option<Request> {
         let slot = self.slot(id)?;
-        let request = self.slots[slot].take()?;
+        let request = self.slots[slot as usize].take()?;
         self.index[id.as_usize()] = NO_SLOT;
-        self.free
-            .push(u32::try_from(slot).expect("slot fits in u32"));
+        self.free.push(slot);
         self.len -= 1;
         Some(request)
     }
 
-    fn slot(&self, id: RequestId) -> Option<usize> {
-        match self.index.get(id.as_usize()).copied() {
-            Some(slot) if slot != NO_SLOT => Some(slot as usize),
-            _ => None,
-        }
+    fn slot(&self, id: RequestId) -> Option<u32> {
+        self.index
+            .get(id.as_usize())
+            .copied()
+            .filter(|&slot| slot != NO_SLOT)
     }
 
     fn iter(&self) -> impl Iterator<Item = &Request> {

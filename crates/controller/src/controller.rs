@@ -263,13 +263,6 @@ impl Controller {
         Ok(controller)
     }
 
-    /// The current VNF→node assignment, when the controller was built with
-    /// a cluster ([`Controller::with_cluster`]); indexed by `VnfId`.
-    #[must_use]
-    pub fn cluster_assignment(&self) -> Option<&[NodeId]> {
-        self.cluster.as_ref().map(|c| c.assignment.as_slice())
-    }
-
     /// The live ledger.
     #[must_use]
     pub fn state(&self) -> &ControllerState {

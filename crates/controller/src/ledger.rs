@@ -34,8 +34,7 @@ struct Member {
 /// One VNF's dynamic ledger state in checkpoint shape: outage depths,
 /// host flag, and per-instance member runs as raw `(request id, rate,
 /// delivery)` triples in id order. Produced by
-/// [`ControllerState::export`], consumed by [`ControllerState::import`];
-/// the snapshot serializer owns the JSON encoding of this shape.
+/// [`ControllerState::export`], consumed by [`ControllerState::import`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SlabExport {
     /// The VNF's raw id (must match the scenario's VNF at this position).

@@ -89,4 +89,4 @@ pub use error::ControllerError;
 pub use ledger::ControllerState;
 pub use report::ControllerReport;
 pub use retry::RetryRefusal;
-pub use snapshot::{ControllerSnapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{ControllerSnapshot, SnapshotError};

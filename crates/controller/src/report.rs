@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use nfv_telemetry::json::{self, JsonError, JsonObject};
 use serde::{Deserialize, Serialize};
 
 /// A snapshot of the controller's counters and derived statistics, taken
@@ -114,9 +113,8 @@ impl ControllerReport {
     }
 
     /// Every integer counter as `(name, value)` pairs in declaration
-    /// order — the feed for the fleet's metrics registry, the flight
-    /// recorder's post-mortem dumps and [`to_json`](Self::to_json). Names
-    /// are stable snake_case slugs.
+    /// order — the feed for the fleet's metrics registry and the flight
+    /// recorder's post-mortem dumps. Names are stable snake_case slugs.
     #[must_use]
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
@@ -194,77 +192,6 @@ impl ControllerReport {
             self.peak_utilization,
         )
     }
-
-    /// Encodes the snapshot as one flat JSON object (one journal line),
-    /// for diffing and archiving runs: `time`, the [`counters`](Self::counters)
-    /// in order, then the three latency/utilization floats. Floats
-    /// round-trip exactly (shortest representation, non-finite values as
-    /// strings).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_f64("time", self.time);
-        for (name, value) in self.counters() {
-            obj.field_u64(name, value);
-        }
-        obj.field_f64("mean_latency", self.mean_latency)
-            .field_f64("current_latency", self.current_latency)
-            .field_f64("peak_utilization", self.peak_utilization);
-        obj.finish()
-    }
-
-    /// Decodes a snapshot encoded by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] when the line is malformed, a field is missing, or
-    /// its keys are not exactly the ones `to_json` writes, in order — an
-    /// unknown or repeated key means another build wrote the line.
-    pub fn from_json(line: &str) -> Result<Self, JsonError> {
-        let fields = json::parse_object(line)?;
-        let invalid = |message| JsonError { message, at: 0 };
-        let u64_of = |key| json::get_u64(&fields, key).ok_or(invalid("missing integer field"));
-        let f64_of = |key| json::get_f64(&fields, key).ok_or(invalid("missing float field"));
-        let report = Self {
-            time: f64_of("time")?,
-            admitted: u64_of("admitted")?,
-            rejected: u64_of("rejected")?,
-            departed: u64_of("departed")?,
-            shed: u64_of("shed")?,
-            migrated_failover: u64_of("migrated_failover")?,
-            migrated_reopt: u64_of("migrated_reopt")?,
-            migrated_replace: u64_of("migrated_replace")?,
-            ticks: u64_of("ticks")?,
-            reopts_applied: u64_of("reopts_applied")?,
-            reopts_skipped: u64_of("reopts_skipped")?,
-            instances_added: u64_of("instances_added")?,
-            instances_retired: u64_of("instances_retired")?,
-            relocations: u64_of("relocations")?,
-            replaces_applied: u64_of("replaces_applied")?,
-            replaces_aborted: u64_of("replaces_aborted")?,
-            node_downs: u64_of("node_downs")?,
-            node_ups: u64_of("node_ups")?,
-            stale_outage_events: u64_of("stale_outage_events")?,
-            emergency_replaces: u64_of("emergency_replaces")?,
-            retries_attempted: u64_of("retries_attempted")?,
-            retry_admitted: u64_of("retry_admitted")?,
-            retry_abandoned: u64_of("retry_abandoned")?,
-            refines_applied: u64_of("refines_applied")?,
-            refines_rejected: u64_of("refines_rejected")?,
-            retry_pending: u64_of("retry_pending")?,
-            active: u64_of("active")?,
-            mean_latency: f64_of("mean_latency")?,
-            current_latency: f64_of("current_latency")?,
-            peak_utilization: f64_of("peak_utilization")?,
-        };
-        let keys = std::iter::once("time")
-            .chain(report.counters().into_iter().map(|(name, _)| name))
-            .chain(["mean_latency", "current_latency", "peak_utilization"]);
-        if !fields.iter().map(|(key, _)| key.as_str()).eq(keys) {
-            return Err(invalid("fields differ from this build's report"));
-        }
-        Ok(report)
-    }
 }
 
 impl fmt::Display for ControllerReport {
@@ -333,46 +260,6 @@ mod tests {
         assert!(report().render().contains("rejected=10 (25.00%)"));
         assert!(report().render().contains("nodes(down 2, up 1, stale 3"));
         assert!(report().render().contains("lost=7"));
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let r = report();
-        let line = r.to_json();
-        assert_eq!(ControllerReport::from_json(&line).unwrap(), r);
-        // Non-finite latencies (a saturated run) survive the journal.
-        let saturated = ControllerReport {
-            mean_latency: f64::INFINITY,
-            current_latency: f64::INFINITY,
-            ..report()
-        };
-        let back = ControllerReport::from_json(&saturated.to_json()).unwrap();
-        assert_eq!(back, saturated);
-        // Awkward floats round-trip bit-exactly.
-        let precise = ControllerReport {
-            time: 0.1 + 0.2,
-            mean_latency: f64::MIN_POSITIVE,
-            ..report()
-        };
-        let back = ControllerReport::from_json(&precise.to_json()).unwrap();
-        assert_eq!(back.time.to_bits(), precise.time.to_bits());
-        assert_eq!(back.mean_latency.to_bits(), precise.mean_latency.to_bits());
-    }
-
-    #[test]
-    fn json_rejects_missing_fields() {
-        assert!(ControllerReport::from_json(r#"{"time":1.0}"#).is_err());
-        assert!(ControllerReport::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn json_rejects_unknown_and_repeated_keys() {
-        let line = report().to_json();
-        let unknown = format!("{},\"bogus\":1}}", &line[..line.len() - 1]);
-        assert!(ControllerReport::from_json(&unknown).is_err());
-        let repeated = line.replacen("\"shed\":1,", "\"shed\":1,\"shed\":1,", 1);
-        assert_ne!(repeated, line);
-        assert!(ControllerReport::from_json(&repeated).is_err());
     }
 
     #[test]

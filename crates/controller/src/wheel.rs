@@ -173,11 +173,11 @@ impl<T> TimerWheel<T> {
         // Far-future entries whose tick the target now covers skip the
         // wheel entirely: `overflow` shares the oracle key order, so its
         // prefix is exactly the expired set.
-        while let Some((&key, _)) = self.overflow.first_key_value() {
-            if Self::tick_of(f64::from_bits(key.0)) > target {
+        while let Some(entry) = self.overflow.first_entry() {
+            if Self::tick_of(f64::from_bits(entry.key().0)) > target {
                 break;
             }
-            let (key, value) = self.overflow.pop_first().expect("peeked");
+            let (key, value) = entry.remove_entry();
             self.ready.insert(key, value);
         }
         while self.current < target {
@@ -222,13 +222,12 @@ impl<T> TimerWheel<T> {
             return None;
         }
         self.advance(Self::tick_of(upto));
-        let (&key, _) = self.ready.first_key_value()?;
-        if f64::from_bits(key.0) > upto {
+        let entry = self.ready.first_entry()?;
+        if f64::from_bits(entry.key().0) > upto {
             return None;
         }
-        let (key, value) = self.ready.pop_first().expect("peeked");
         self.len -= 1;
-        Some((key, value))
+        Some(entry.remove_entry())
     }
 
     /// Every pending payload in oracle key order — so reductions over

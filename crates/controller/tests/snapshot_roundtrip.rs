@@ -1,8 +1,7 @@
-//! Checkpoint → serialize → restore round-trips: a controller restored
-//! from a [`ControllerSnapshot`] (after a full JSONL encode/decode) must
-//! be behaviorally indistinguishable from the original for the rest of
-//! the run — bit-identical balanced latency, reports, and retry-wheel
-//! pop order.
+//! Checkpoint → restore round-trips: a controller restored from a
+//! `ControllerSnapshot` must be behaviorally indistinguishable from the
+//! original for the rest of the run — bit-identical balanced latency,
+//! reports, and retry-wheel pop order.
 //!
 //! Controllers are never compared with `==` directly: the retry wheel's
 //! slot vectors may legitimately differ structurally after a rebuild
@@ -10,7 +9,7 @@
 //! asserted on [`Controller::state`], [`Controller::report`], per-event
 //! [`EventOutcome`]s, and continued runs past retry due times.
 
-use nfv_controller::{Controller, ControllerConfig, ControllerSnapshot, RetryConfig};
+use nfv_controller::{Controller, ControllerConfig, RetryConfig};
 use nfv_model::{
     ArrivalRate, Capacity, ComputeNode, DeliveryProbability, NodeId, Request, RequestId,
     ServiceChain, VnfId,
@@ -50,10 +49,9 @@ fn cluster(s: &Scenario, n: usize) -> (Vec<ComputeNode>, Placement) {
     (nodes, placement)
 }
 
-/// Runs `original` over `events[..split]`, checkpoints it through a full
-/// JSONL encode/decode into `restored`, then drives both over the suffix
-/// in lockstep and past the horizon, asserting bit-identical behavior at
-/// every step.
+/// Runs `original` over `events[..split]`, checkpoints it into
+/// `restored`, then drives both over the suffix in lockstep and past the
+/// horizon, asserting bit-identical behavior at every step.
 fn assert_split_equivalence(
     mut original: Controller,
     mut restored: Controller,
@@ -64,10 +62,7 @@ fn assert_split_equivalence(
     for event in &events[..split] {
         original.handle(event);
     }
-    let snapshot = original.checkpoint();
-    let decoded = ControllerSnapshot::from_jsonl(&snapshot.to_jsonl()).unwrap();
-    assert_eq!(decoded, snapshot, "JSONL round-trip altered the snapshot");
-    restored.restore(&decoded).unwrap();
+    restored.restore(&original.checkpoint()).unwrap();
 
     assert_eq!(restored.state(), original.state(), "ledger after restore");
     assert_eq!(restored.report(), original.report(), "report after restore");
@@ -130,7 +125,7 @@ fn clustered_resilient_controller_round_trips_mid_trace() {
     }
 }
 
-/// A cluster-free controller (no `cluster` section in the snapshot) with
+/// A cluster-free controller (no cluster state in the snapshot) with
 /// retries and periodic re-optimization.
 #[test]
 fn cluster_free_controller_round_trips_mid_trace() {
@@ -226,7 +221,7 @@ mod random_histories {
         /// Random mutation-interleaved histories (arrivals, stale and live
         /// departures, instance churn, reopt ticks, retries coming due
         /// between events) split at a random point: `checkpoint()` →
-        /// JSONL → `restore()` must reproduce every subsequent outcome,
+        /// `restore()` must reproduce every subsequent outcome,
         /// the final report, the ledger, and the retry-wheel pop order
         /// bit for bit.
         #[test]
@@ -261,10 +256,7 @@ mod random_histories {
             for event in &events[..split] {
                 original.handle(event);
             }
-            let snapshot = original.checkpoint();
-            let decoded = ControllerSnapshot::from_jsonl(&snapshot.to_jsonl()).unwrap();
-            prop_assert_eq!(&decoded, &snapshot);
-            restored.restore(&decoded).unwrap();
+            restored.restore(&original.checkpoint()).unwrap();
             prop_assert_eq!(restored.state(), original.state());
             prop_assert_eq!(restored.report(), original.report());
 

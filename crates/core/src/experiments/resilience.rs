@@ -339,19 +339,14 @@ fn run_inner(
         )
     })
     .map_err(CoreError::from)?;
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut artifacts = TelemetryArtifacts::default();
-    for (outcome, worker_artifacts) in results {
-        outcomes.push(outcome);
-        artifacts.merge(worker_artifacts);
-    }
+    let (outcomes, parts): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     Ok((
         ResilienceComparison {
             point: *point,
             seed,
             outcomes,
         },
-        artifacts,
+        TelemetryArtifacts::merged(parts),
     ))
 }
 

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SampleSet {
-    /// Samples in insertion order (the order matters for batch means).
+    /// Samples in insertion order (the order `as_slice` and `merge` keep).
     samples: Vec<f64>,
     /// Sorted copy, built lazily for quantile queries and invalidated on
     /// push.
@@ -116,49 +116,6 @@ impl SampleSet {
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// A ~95% confidence interval for the mean using the *batch means*
-    /// method: the samples are split, in insertion order, into `batches`
-    /// contiguous batches, and the CI is computed over the batch means.
-    /// For autocorrelated streams (e.g. consecutive sojourn times from a
-    /// queueing simulation) this is far less optimistic than the iid
-    /// normal approximation.
-    ///
-    /// Returns `(mean, half_width)`, or `None` with fewer than two
-    /// samples per batch or fewer than two batches.
-    #[must_use]
-    pub fn batch_means_ci(&self, batches: usize) -> Option<(f64, f64)> {
-        if batches < 2 || self.samples.len() < 2 * batches {
-            return None;
-        }
-        let batch_len = self.samples.len() / batches;
-        let means: Vec<f64> = (0..batches)
-            .map(|b| {
-                let chunk = &self.samples[b * batch_len..(b + 1) * batch_len];
-                chunk.iter().sum::<f64>() / chunk.len() as f64
-            })
-            .collect();
-        let grand = means.iter().sum::<f64>() / batches as f64;
-        let var = means.iter().map(|m| (m - grand).powi(2)).sum::<f64>() / (batches - 1) as f64;
-        // Student-t 97.5% quantiles for small batch counts, converging to
-        // the normal 1.96.
-        let t = match batches {
-            2 => 12.706,
-            3 => 4.303,
-            4 => 3.182,
-            5 => 2.776,
-            6 => 2.571,
-            7 => 2.447,
-            8 => 2.365,
-            9 => 2.306,
-            10 => 2.262,
-            11..=15 => 2.145,
-            16..=20 => 2.093,
-            21..=30 => 2.045,
-            _ => 1.96,
-        };
-        Some((grand, t * (var / batches as f64).sqrt()))
     }
 
     /// Appends another set's samples after this one, in their insertion
@@ -278,48 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_means_ci_basics() {
-        let s: SampleSet = (0..100).map(f64::from).collect();
-        let (mean, half) = s.batch_means_ci(10).unwrap();
-        assert!((mean - 49.5).abs() < 1e-9);
-        assert!(half > 0.0);
-        // Too few samples or batches -> None.
-        assert!(SampleSet::new().batch_means_ci(4).is_none());
-        let tiny: SampleSet = [1.0, 2.0, 3.0].into_iter().collect();
-        assert!(tiny.batch_means_ci(2).is_none());
-        assert!(s.batch_means_ci(1).is_none());
-    }
-
-    #[test]
     fn percentile_queries_do_not_disturb_insertion_order() {
-        // Regression: quantiles must not reorder the stream that batch
-        // means (and as_slice) rely on.
+        // Regression: quantiles must not reorder the stream that
+        // `as_slice` and `merge` rely on.
         let mut s: SampleSet = [5.0, 1.0, 9.0, 3.0].into_iter().collect();
         let before = s.as_slice().to_vec();
         let _ = s.median();
         let _ = s.p99();
         assert_eq!(s.as_slice(), before.as_slice());
-        let ci_before_sorting_would_differ = s.batch_means_ci(2).unwrap();
-        let fresh: SampleSet = [5.0, 1.0, 9.0, 3.0].into_iter().collect();
-        assert_eq!(
-            fresh.batch_means_ci(2).unwrap(),
-            ci_before_sorting_would_differ
-        );
-    }
-
-    #[test]
-    fn batch_means_ci_wider_for_correlated_streams() {
-        // A slowly drifting (highly autocorrelated) stream: batch means
-        // disagree a lot, so the CI must be wide relative to an iid
-        // shuffle of the same values.
-        let drifting: SampleSet = (0..400).map(|i| f64::from(i / 100)).collect();
-        let (_, wide) = drifting.batch_means_ci(8).unwrap();
-        let interleaved: SampleSet = (0..400).map(|i| f64::from(i % 4) / 4.0 * 3.0).collect();
-        let (_, narrow) = interleaved.batch_means_ci(8).unwrap();
-        assert!(
-            wide > 10.0 * narrow,
-            "correlated CI {wide} not wider than iid-ish CI {narrow}"
-        );
     }
 
     proptest! {

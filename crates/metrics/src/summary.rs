@@ -112,13 +112,6 @@ impl Summary {
         &self.samples
     }
 
-    /// Batch-means ~95% confidence interval for the mean; see
-    /// [`SampleSet::batch_means_ci`].
-    #[must_use]
-    pub fn batch_means_ci(&self, batches: usize) -> Option<(f64, f64)> {
-        self.samples.batch_means_ci(batches)
-    }
-
     /// Merges another summary into this one: streaming moments via the
     /// parallel Welford combination ([`OnlineStats::merge`]), retained
     /// samples by in-order append ([`SampleSet::merge`]).

@@ -43,21 +43,6 @@ impl SimReport {
         self.overall_latency.percentile(q)
     }
 
-    /// The full latency summary (moments + retained samples).
-    #[must_use]
-    pub fn latency_summary(&self) -> &Summary {
-        &self.overall_latency
-    }
-
-    /// Batch-means ~95% confidence interval `(mean, half_width)` for the
-    /// mean latency. Consecutive sojourn times from the same queue are
-    /// strongly autocorrelated, so this is the statistically honest CI
-    /// (the iid normal approximation underestimates the width).
-    #[must_use]
-    pub fn latency_ci(&self, batches: usize) -> Option<(f64, f64)> {
-        self.overall_latency.batch_means_ci(batches)
-    }
-
     /// Per-request latency summaries, indexed by request.
     #[must_use]
     pub fn per_request_latency(&self) -> &[Summary] {

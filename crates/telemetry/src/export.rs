@@ -1,14 +1,15 @@
-//! Exporters: Prometheus text exposition and a hand-rolled JSON dump.
+//! Exporters: Prometheus text exposition and a JSON dump.
 //!
-//! The vendored `serde` stand-in has no serializers, so both formats
-//! are written by hand. Output is a
+//! The vendored `serde` stand-in has no serializers, so the Prometheus
+//! text is written by hand and the JSON dump goes through the crate's
+//! one JSON writer, [`JsonObject`]. Output is a
 //! pure function of the [`Registry`] contents (`BTreeMap` iteration,
 //! shortest-round-trip float formatting), so exports inherit the
 //! registry's byte-identity across thread counts.
 
 use std::fmt::Write as _;
 
-use crate::json::escape_into;
+use crate::json::JsonObject;
 use crate::registry::Registry;
 
 /// Escapes a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
@@ -135,75 +136,39 @@ impl Registry {
         out
     }
 
-    /// The registry as one hand-rolled JSON object:
+    /// The registry as one JSON object:
     /// `{"counters":{…},"gauges":{…},"histograms":{…}}` with histogram
     /// values as nested objects. Byte-stable for identical contents.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (key, value)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_key(&mut out, key);
-            let _ = write!(out, "{value}");
+        let mut counters = JsonObject::new();
+        for (key, value) in self.counters() {
+            counters.field_u64(key, value);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (key, value)) in self.gauges().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_key(&mut out, key);
-            push_json_f64(&mut out, value);
+        let mut gauges = JsonObject::new();
+        for (key, value) in self.gauges() {
+            gauges.field_f64(key, value);
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (key, histogram)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_key(&mut out, key);
+        let mut histograms = JsonObject::new();
+        for (key, histogram) in self.histograms() {
             let (lo, _) = histogram.bin_range(0);
             let (_, hi) = histogram.bin_range(histogram.bins() - 1);
-            out.push_str("{\"lo\":");
-            push_json_f64(&mut out, lo);
-            out.push_str(",\"hi\":");
-            push_json_f64(&mut out, hi);
-            let _ = write!(
-                out,
-                ",\"underflow\":{},\"overflow\":{},\"bins\":[",
-                histogram.underflow(),
-                histogram.overflow()
-            );
-            for j in 0..histogram.bins() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", histogram.bin_count(j));
-            }
-            out.push_str("]}");
+            let mut h = JsonObject::new();
+            h.field_f64("lo", lo)
+                .field_f64("hi", hi)
+                .field_u64("underflow", histogram.underflow())
+                .field_u64("overflow", histogram.overflow())
+                .field_u64s(
+                    "bins",
+                    (0..histogram.bins()).map(|j| histogram.bin_count(j)),
+                );
+            histograms.field_object(key, h);
         }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn push_json_key(out: &mut String, key: &str) {
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":");
-}
-
-/// JSON floats follow the journal convention: shortest-round-trip for
-/// finite values, tagged strings for non-finite ones.
-fn push_json_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value}");
-    } else if value.is_nan() {
-        out.push_str("\"nan\"");
-    } else if value > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
+        let mut out = JsonObject::new();
+        out.field_object("counters", counters)
+            .field_object("gauges", gauges)
+            .field_object("histograms", histograms);
+        out.finish()
     }
 }
 

@@ -1,13 +1,18 @@
-//! A minimal hand-rolled JSON layer for the journal sinks.
+//! The workspace's one JSON writer and its flat-object reader.
 //!
 //! The vendored `serde` stand-in provides only the trait markers — no
-//! serializers (see `vendor/README.md`) — so the journal encodes and
-//! decodes its own flat objects. The subset is deliberately tiny: one
-//! non-nested object per line, string and numeric fields only. Numbers
-//! are written with Rust's shortest-round-trip formatting, so a decoded
-//! `f64` is bit-identical to the encoded one; non-finite values (which
-//! plain JSON cannot carry) are encoded as the strings `"inf"`, `"-inf"`
-//! and `"nan"`.
+//! serializers (see `vendor/README.md`) — so every JSON text the crates
+//! emit is built by [`JsonObject`]: the journal's one object per line and
+//! the registry's nested dump. Fields are strings, unsigned integers,
+//! floats, `u64` arrays and nested objects. Numbers are written with
+//! Rust's shortest-round-trip formatting, so a decoded `f64` is
+//! bit-identical to the encoded one; non-finite values (which plain JSON
+//! cannot carry) are encoded as the strings `"inf"`, `"-inf"` and
+//! `"nan"`, by [`JsonObject::field_f64`] alone.
+//!
+//! The reader, [`parse_object`], takes only the flat subset: one
+//! non-nested object of string and scalar fields, which is all the
+//! journal writes and `figures trace` reads back.
 
 use std::fmt::Write as _;
 
@@ -77,6 +82,27 @@ impl JsonObject {
         self
     }
 
+    /// Appends an array of unsigned integers.
+    pub fn field_u64s(&mut self, key: &str, values: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.key(key);
+        self.buf.push('[');
+        for (i, value) in values.into_iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            let _ = write!(self.buf, "{value}");
+        }
+        self.buf.push(']');
+        self
+    }
+
+    /// Appends a nested object.
+    pub fn field_object(&mut self, key: &str, value: JsonObject) -> &mut Self {
+        self.key(key);
+        self.buf.push_str(&value.finish());
+        self
+    }
+
     /// Closes the object and returns the rendered text.
     #[must_use]
     pub fn finish(self) -> String {
@@ -89,7 +115,7 @@ impl JsonObject {
     }
 }
 
-pub(crate) fn escape_into(buf: &mut String, s: &str) {
+fn escape_into(buf: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => buf.push_str("\\\""),

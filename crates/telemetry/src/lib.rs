@@ -7,7 +7,9 @@
 //!   in a bounded in-memory [`RingSink`] and written out once per format
 //!   by [`TelemetryArtifacts::journal_jsonl`] (one JSON object per line)
 //!   and [`TelemetryArtifacts::journal_csv`] (the fixed-column per-event
-//!   trace shape), each under a schema-version header its parser checks;
+//!   trace shape), each under a schema-version header; the JSONL journal
+//!   reads back through [`parse_jsonl_journal`], the CSV one is
+//!   write-only;
 //! - **timing spans** ([`Phase`]/[`PhaseProfile`]): wall-clock durations
 //!   of the hot phases (BFDSU delta-placement, RCKK planning, the
 //!   hysteresis probe, retry drain, emergency re-placement) aggregated
@@ -72,9 +74,7 @@ pub use export::{escape_label, unescape_label};
 pub use recorder::{Postmortem, FLIGHT_RECORDER_WINDOW};
 pub use registry::{Registry, RegistryError};
 pub use series::{TickSample, TickSeries, SERIES_CSV_HEADER};
-pub use sink::{
-    csv_journal_rows, parse_jsonl_journal, JournalError, RingSink, JOURNAL_SCHEMA_VERSION,
-};
+pub use sink::{parse_jsonl_journal, JournalError, RingSink, JOURNAL_SCHEMA_VERSION};
 pub use span::{Phase, PhaseProfile, SpanToken, Stopwatch};
 pub use trace::{SpanId, SpanTree};
 
@@ -94,28 +94,13 @@ pub struct TelemetryArtifacts {
 }
 
 impl TelemetryArtifacts {
-    /// Appends another worker's artifacts after this one. Callers fold
-    /// worker results in worker-index order (the order `par_map`
-    /// returns), so the merged artifacts are identical at any thread
-    /// count; sequence numbers are re-assigned densely over the merged
-    /// journal.
-    pub fn merge(&mut self, other: TelemetryArtifacts) {
-        self.dropped_events += other.dropped_events;
-        self.events.extend(other.events);
-        for (seq, event) in self.events.iter_mut().enumerate() {
-            event.seq = seq as u64;
-        }
-        self.profile.merge(&other.profile);
-        self.series.merge(&other.series);
-    }
-
-    /// Merges many sessions' artifacts in iteration order — the fleet
-    /// path, which folds per-tenant journals shard by shard in shard-id
-    /// order (tenants in owned order within each shard). Because that
-    /// order is a pure function of the seed and never of the thread
-    /// count, the merged journal is byte-identical at any parallelism;
-    /// the merge quadratic (`merge` re-seqs per part) is avoided by
-    /// re-assigning dense sequence numbers once at the end.
+    /// Merges many sessions' artifacts in iteration order, re-assigning
+    /// dense sequence numbers once over the merged journal. Callers pass
+    /// the parts in an order that is a pure function of the seed, never
+    /// of the thread count — policy order for the experiment runners
+    /// (the order `par_map` returns), shard-id order for the fleet
+    /// (tenants in owned order within each shard) — so the merged
+    /// artifacts are byte-identical at any parallelism.
     #[must_use]
     pub fn merged<I: IntoIterator<Item = TelemetryArtifacts>>(parts: I) -> Self {
         let mut all = TelemetryArtifacts::default();
@@ -140,9 +125,8 @@ impl TelemetryArtifacts {
     }
 
     /// The journal as CSV: a `# schema_version=N` comment line and
-    /// [`CSV_HEADER`], then one row per event — the shape
-    /// [`csv_journal_rows`] reads back. An empty journal renders as the
-    /// empty string.
+    /// [`CSV_HEADER`], then one row per event. Write-only: nothing reads
+    /// it back. An empty journal renders as the empty string.
     #[must_use]
     pub fn journal_csv(&self) -> String {
         self.render_journal(sink::csv_header(), TraceEvent::to_csv_row)
@@ -409,8 +393,7 @@ mod tests {
             request: RequestId::new(2),
             hops: 1,
         });
-        let mut merged = a.finish();
-        merged.merge(b.finish());
+        let merged = TelemetryArtifacts::merged([a.finish(), b.finish()]);
         assert_eq!(merged.events.len(), 2);
         assert_eq!(merged.events[0].seq, 0);
         assert_eq!(merged.events[1].seq, 1);

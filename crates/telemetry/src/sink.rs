@@ -1,7 +1,8 @@
 //! The in-memory journal ring and the journal file formats: the schema
 //! headers [`TelemetryArtifacts::journal_jsonl`] and
-//! [`TelemetryArtifacts::journal_csv`] stamp, and the parsers that check
-//! them.
+//! [`TelemetryArtifacts::journal_csv`] stamp, and the JSONL parser that
+//! checks its header. The CSV journal is write-only: nothing in the
+//! workspace reads it back.
 //!
 //! [`TelemetryArtifacts::journal_jsonl`]: crate::TelemetryArtifacts::journal_jsonl
 //! [`TelemetryArtifacts::journal_csv`]: crate::TelemetryArtifacts::journal_csv
@@ -12,9 +13,9 @@ use crate::event::{TraceEvent, CSV_HEADER};
 use crate::json::{get_u64, parse_object, JsonObject};
 
 /// Schema version stamped at the top of every JSONL/CSV journal file.
-/// Bump it when the journal shape changes; the parse helpers reject
-/// mismatched files with a typed [`JournalError`] instead of silently
-/// misreading drifted schemas.
+/// Bump it when the journal shape changes; [`parse_jsonl_journal`]
+/// rejects mismatched files with a typed [`JournalError`] instead of
+/// silently misreading drifted schemas.
 pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
 
 /// Why a journal file was refused at parse time.
@@ -89,34 +90,6 @@ pub fn parse_jsonl_journal(text: &str) -> Result<Vec<TraceEvent>, JournalError> 
             TraceEvent::from_json(line).map_err(|_| JournalError::Malformed { line: i + 2 })
         })
         .collect()
-}
-
-/// Validates the schema-version line and column header of a journal
-/// written by [`journal_csv`](crate::TelemetryArtifacts::journal_csv),
-/// returning the data rows.
-///
-/// # Errors
-///
-/// [`JournalError`] for a missing/mismatched version line or a wrong
-/// column header (reported as `Malformed` on line 2).
-pub fn csv_journal_rows(text: &str) -> Result<Vec<&str>, JournalError> {
-    let mut lines = text.lines();
-    let version = lines.next().ok_or(JournalError::MissingHeader)?;
-    let found: u32 = version
-        .strip_prefix("# schema_version=")
-        .and_then(|v| v.parse().ok())
-        .ok_or(JournalError::MissingHeader)?;
-    if found != JOURNAL_SCHEMA_VERSION {
-        return Err(JournalError::SchemaMismatch {
-            found,
-            expected: JOURNAL_SCHEMA_VERSION,
-        });
-    }
-    match lines.next() {
-        None => Ok(Vec::new()),
-        Some(header) if header == CSV_HEADER => Ok(lines.collect()),
-        Some(_) => Err(JournalError::Malformed { line: 2 }),
-    }
 }
 
 /// A bounded in-memory ring: keeps the most recent `capacity` events and
@@ -262,34 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn parsers_reject_bumped_schema_versions() {
-        let text = journal(1).journal_jsonl();
-        let bumped = text.replace(
-            "{\"schema_version\":1}",
-            &format!("{{\"schema_version\":{}}}", JOURNAL_SCHEMA_VERSION + 1),
-        );
-        assert_eq!(
-            parse_jsonl_journal(&bumped),
-            Err(JournalError::SchemaMismatch {
-                found: JOURNAL_SCHEMA_VERSION + 1,
-                expected: JOURNAL_SCHEMA_VERSION,
-            })
-        );
-        let text = journal(1).journal_csv();
-        let rows = csv_journal_rows(&text).unwrap();
-        assert_eq!(rows.len(), 1);
-        let bumped = text.replace("# schema_version=1", "# schema_version=2");
-        assert_eq!(
-            csv_journal_rows(&bumped),
-            Err(JournalError::SchemaMismatch {
-                found: 2,
-                expected: JOURNAL_SCHEMA_VERSION,
-            })
-        );
-    }
-
-    #[test]
-    fn parsers_reject_missing_headers_and_malformed_lines() {
+    fn parser_rejects_missing_headers_and_malformed_lines() {
         assert_eq!(parse_jsonl_journal(""), Err(JournalError::MissingHeader));
         assert_eq!(
             parse_jsonl_journal("{\"other\":1}\n"),
@@ -297,11 +243,6 @@ mod tests {
         );
         assert_eq!(
             parse_jsonl_journal("{\"schema_version\":1}\nnot json\n"),
-            Err(JournalError::Malformed { line: 2 })
-        );
-        assert_eq!(csv_journal_rows(""), Err(JournalError::MissingHeader));
-        assert_eq!(
-            csv_journal_rows("# schema_version=1\nWrong,Header\n"),
             Err(JournalError::Malformed { line: 2 })
         );
     }

@@ -99,11 +99,6 @@ impl SpanTree {
         }
     }
 
-    /// Adds `seconds` to an existing span.
-    pub fn add_seconds(&mut self, id: SpanId, seconds: f64) {
-        self.nodes[id.0].seconds += seconds;
-    }
-
     /// Overwrites a span's measured duration (closing a span whose
     /// total was measured by an outer stopwatch).
     pub fn set_seconds(&mut self, id: SpanId, seconds: f64) {

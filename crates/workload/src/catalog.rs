@@ -114,12 +114,6 @@ impl VnfCatalog {
         Self { profiles }
     }
 
-    /// Creates a catalog from explicit (kind, profile) pairs.
-    #[must_use]
-    pub fn from_profiles(profiles: Vec<(VnfKind, VnfProfile)>) -> Self {
-        Self { profiles }
-    }
-
     /// Number of distinct kinds in the catalog.
     #[must_use]
     pub fn len(&self) -> usize {
