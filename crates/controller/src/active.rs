@@ -40,27 +40,35 @@ impl ActiveSet {
         self.slot(id).and_then(|s| self.slots[s as usize].as_ref())
     }
 
-    /// Inserts a request under its own id. The controller checks for
-    /// duplicates before admission, so the id must be vacant.
-    pub(crate) fn insert(&mut self, request: Request) {
+    /// Inserts a request under its own id, handing it back when the id
+    /// is already live or the arena has used every slot number below the
+    /// `NO_SLOT` sentinel (a `RequestId` is a `u32`, so that takes
+    /// 2³² − 1 live requests).
+    pub(crate) fn insert(&mut self, request: Request) -> Result<(), Request> {
         let id = request.id().as_usize();
         if id >= self.index.len() {
             self.index.resize(id + 1, NO_SLOT);
         }
-        debug_assert_eq!(self.index[id], NO_SLOT, "duplicate active id");
+        if self.index[id] != NO_SLOT {
+            return Err(request);
+        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(request);
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("slot arena fits in u32");
+                let next = u32::try_from(self.slots.len()).ok();
+                let Some(slot) = next.filter(|&slot| slot != NO_SLOT) else {
+                    return Err(request);
+                };
                 self.slots.push(Some(request));
                 slot
             }
         };
         self.index[id] = slot;
         self.len += 1;
+        Ok(())
     }
 
     /// Removes and returns the request with this id, if live.
@@ -84,10 +92,11 @@ impl ActiveSet {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// The live requests in ascending id order — the canonical checkpoint
-    /// shape. Rebuilding a set by [`insert`](Self::insert)ing these is
-    /// logically equal to the original (slot layout is not part of the
-    /// set's logical state; every read goes through the id table).
+    /// The live requests in ascending id order — the checkpoint shape,
+    /// O(live) where a clone would copy the whole id table. Rebuilding a
+    /// set by [`insert`](Self::insert)ing these is logically equal to the
+    /// original (slot layout is not part of the set's logical state;
+    /// every read goes through the id table).
     pub(crate) fn export(&self) -> Vec<Request> {
         let mut requests: Vec<Request> = self.iter().cloned().collect();
         requests.sort_unstable_by_key(Request::id);
@@ -122,8 +131,13 @@ mod tests {
     fn insert_get_remove_round_trip() {
         let mut set = ActiveSet::default();
         assert_eq!(set.len(), 0);
-        set.insert(request(5));
-        set.insert(request(2));
+        assert_eq!(set.insert(request(5)), Ok(()));
+        assert_eq!(set.insert(request(2)), Ok(()));
+        assert_eq!(
+            set.insert(request(5)),
+            Err(request(5)),
+            "a live id is refused"
+        );
         assert_eq!(set.len(), 2);
         assert!(set.contains_key(RequestId::new(5)));
         assert!(!set.contains_key(RequestId::new(3)));
@@ -137,7 +151,7 @@ mod tests {
     fn export_is_id_sorted_and_rebuilds_logically_equal() {
         let mut set = ActiveSet::default();
         for id in [7, 1, 9, 3] {
-            set.insert(request(id));
+            set.insert(request(id)).unwrap();
         }
         set.remove(RequestId::new(9));
         let exported = set.export();
@@ -145,7 +159,7 @@ mod tests {
         assert_eq!(ids, vec![1, 3, 7]);
         let mut rebuilt = ActiveSet::default();
         for request in exported {
-            rebuilt.insert(request);
+            rebuilt.insert(request).unwrap();
         }
         assert_eq!(rebuilt, set);
     }
@@ -154,22 +168,22 @@ mod tests {
     fn slots_are_reused_and_equality_is_logical() {
         let mut set_a = ActiveSet::default();
         for id in 0..8 {
-            set_a.insert(request(id));
+            set_a.insert(request(id)).unwrap();
         }
         for id in [1, 3, 5] {
             set_a.remove(RequestId::new(id));
         }
         // Freed slots are recycled before the arena grows.
         let slots_before = set_a.slots.len();
-        set_a.insert(request(9));
-        set_a.insert(request(10));
+        set_a.insert(request(9)).unwrap();
+        set_a.insert(request(10)).unwrap();
         assert_eq!(set_a.slots.len(), slots_before);
 
         // A set with the same contents but a different mutation history
         // (hence different slot layout) compares equal.
         let mut set_b = ActiveSet::default();
         for id in [10, 9, 7, 6, 4, 2, 0] {
-            set_b.insert(request(id));
+            set_b.insert(request(id)).unwrap();
         }
         assert_eq!(set_a, set_b);
         set_b.remove(RequestId::new(0));

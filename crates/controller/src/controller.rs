@@ -297,7 +297,7 @@ impl Controller {
             counters: self.counters.clone(),
             outages_seen: self.outages_seen,
             latency_samples: self.latency_samples.as_slice().to_vec(),
-            slabs: self.state.export(),
+            state: self.state.clone(),
             active: self.active.export(),
             retry_seq,
             retry_entries,
@@ -318,13 +318,11 @@ impl Controller {
     /// # Errors
     ///
     /// [`SnapshotError::Mismatch`] when the snapshot does not fit this
-    /// controller — different VNF shape, cluster presence or size, or
-    /// out-of-domain member data.
-    /// The controller may be partially overwritten on error and must be
-    /// discarded (restore into a freshly built controller to make the
-    /// operation all-or-nothing).
+    /// controller — different VNF ids or service rates, or a different
+    /// cluster presence or size. The controller is unchanged then.
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) -> Result<(), SnapshotError> {
         let mismatch = |reason| SnapshotError::Mismatch { reason };
+        self.state.fits(&snapshot.state).map_err(mismatch)?;
         match (self.cluster.as_mut(), snapshot.cluster.as_ref()) {
             (None, None) => {}
             (Some(cluster), Some((assignment, node_down))) => {
@@ -339,15 +337,12 @@ impl Controller {
             }
             _ => return Err(mismatch("cluster presence differs")),
         }
-        self.state.import(&snapshot.slabs).map_err(mismatch)?;
+        self.state.clone_from(&snapshot.state);
         let mut active = ActiveSet::default();
-        let mut prev: Option<RequestId> = None;
         for request in &snapshot.active {
-            if prev.is_some_and(|p| p >= request.id()) {
-                return Err(mismatch("active requests are not strictly id-sorted"));
-            }
-            prev = Some(request.id());
-            active.insert(request.clone());
+            // `checkpoint` lists each live request once, so no insert is
+            // refused.
+            let _ = active.insert(request.clone());
         }
         self.active = active;
         self.counters.clone_from(&snapshot.counters);
@@ -808,20 +803,25 @@ impl Controller {
     /// Writes validated placements into the ledger and moves the request
     /// into the active set — the one ledger write behind both arrivals
     /// and retry re-admissions. A hop the ledger refuses (it already
-    /// holds the id) unwinds the hops written so far and hands the
-    /// request back.
+    /// holds the id) or an active set that refuses the request unwinds
+    /// the hops written so far and hands the request back.
     fn occupy(&mut self, request: Request, placements: &[(VnfId, usize)]) -> Result<(), Request> {
         let (id, rate, delivery) = (request.id(), request.arrival_rate(), request.delivery());
-        for (written, &(vnf, k)) in placements.iter().enumerate() {
-            if self.state.add_request(vnf, k, id, rate, delivery).is_err() {
-                for &(vnf, _) in placements.iter().take(written) {
-                    self.state.remove_request(vnf, id);
-                }
-                return Err(request);
+        let written = placements
+            .iter()
+            .take_while(|&&(vnf, k)| self.state.add_request(vnf, k, id, rate, delivery).is_ok())
+            .count();
+        let occupied = if written == placements.len() {
+            self.active.insert(request)
+        } else {
+            Err(request)
+        };
+        if occupied.is_err() {
+            for &(vnf, _) in &placements[..written] {
+                self.state.remove_request(vnf, id);
             }
         }
-        self.active.insert(request);
-        Ok(())
+        occupied
     }
 
     /// A non-mutating admission check for retries: the least-loaded up
@@ -2131,6 +2131,73 @@ mod tests {
         let err = Controller::with_cluster(&s, nodes, &short, ControllerConfig::joint_reopt())
             .unwrap_err();
         assert!(matches!(err, ControllerError::ClusterMismatch { .. }));
+    }
+
+    #[test]
+    fn restore_refuses_a_snapshot_of_another_shape_and_changes_nothing() {
+        let s = scenario();
+        let config = ControllerConfig::joint_reopt();
+        let mut source = Controller::new(&s, config);
+        replay(&mut source, &base_trace(&s));
+        let snapshot = source.checkpoint();
+        let refuses = |target: &mut Controller, snapshot: &ControllerSnapshot, reason: &str| {
+            let before = target.clone();
+            match target.restore(snapshot) {
+                Err(SnapshotError::Mismatch { reason: got }) => assert_eq!(got, reason),
+                other => panic!("expected a mismatch, got {other:?}"),
+            }
+            assert_eq!(*target, before, "a refused restore changes nothing");
+        };
+        // Another scenario: one VNF fewer, or the same ids at other rates.
+        let fewer = ScenarioBuilder::new()
+            .vnfs(3)
+            .requests(30)
+            .seed(5)
+            .build()
+            .unwrap();
+        refuses(
+            &mut Controller::new(&fewer, config),
+            &snapshot,
+            "snapshot VNF ids do not match the scenario",
+        );
+        let slower = ScenarioBuilder::new()
+            .vnfs(4)
+            .requests(30)
+            .seed(6)
+            .build()
+            .unwrap();
+        assert_ne!(s.vnfs()[0].service_rate(), slower.vnfs()[0].service_rate());
+        refuses(
+            &mut Controller::new(&slower, config),
+            &snapshot,
+            "snapshot service rates do not match the scenario",
+        );
+        // Another cluster shape: present on one side only, or sized
+        // differently.
+        let (nodes, placement) = big_cluster(&s);
+        let mut clustered =
+            Controller::with_cluster(&s, nodes.clone(), &placement, config).unwrap();
+        refuses(&mut clustered, &snapshot, "cluster presence differs");
+        let clustered_snapshot = clustered.checkpoint();
+        refuses(
+            &mut Controller::new(&s, config),
+            &clustered_snapshot,
+            "cluster presence differs",
+        );
+        let mut wider_nodes = nodes;
+        let extra = ComputeNode::new(NodeId::new(4), wider_nodes[0].capacity());
+        wider_nodes.push(extra);
+        let mut wider = Controller::with_cluster(&s, wider_nodes, &placement, config).unwrap();
+        refuses(
+            &mut wider,
+            &clustered_snapshot,
+            "cluster node count differs",
+        );
+        // The same shape restores.
+        let mut target = Controller::new(&s, config);
+        target.restore(&snapshot).unwrap();
+        assert_eq!(target.report(), source.report());
+        assert_eq!(target.state(), source.state());
     }
 
     #[test]

@@ -31,22 +31,6 @@ struct Member {
     inflated: f64,
 }
 
-/// One VNF's dynamic ledger state in checkpoint shape: outage depths,
-/// host flag, and per-instance member runs as raw `(request id, rate,
-/// delivery)` triples in id order. Produced by
-/// [`ControllerState::export`], consumed by [`ControllerState::import`].
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SlabExport {
-    /// The VNF's raw id (must match the scenario's VNF at this position).
-    pub(crate) vnf: u32,
-    /// Outage depth per instance (0 = up).
-    pub(crate) down: Vec<u32>,
-    /// Whole-VNF host-down flag.
-    pub(crate) host_down: bool,
-    /// Per-instance member runs, id-sorted, as `(id, rate, delivery)`.
-    pub(crate) members: Vec<Vec<(u32, f64, f64)>>,
-}
-
 /// Per-VNF slice of the ledger.
 #[derive(Debug, Clone)]
 struct VnfSlab {
@@ -670,87 +654,26 @@ impl ControllerState {
         Ok(last)
     }
 
-    /// Exports the ledger's dynamic state for a checkpoint: one
-    /// [`SlabExport`] per VNF in id order, members in `(instance, id)`
-    /// order. `inflated` and the cached sums are *not* exported — they
-    /// are pure functions of the member runs and [`import`](Self::import)
-    /// recomputes them in the canonical id order, so the restored sums
-    /// are bit-identical by construction.
-    #[must_use]
-    pub(crate) fn export(&self) -> Vec<SlabExport> {
-        self.ids
-            .iter()
-            .zip(&self.slabs)
-            .map(|(id, slab)| SlabExport {
-                vnf: id.index(),
-                down: slab.down.clone(),
-                host_down: slab.host_down,
-                members: slab
-                    .members
-                    .iter()
-                    .map(|run| {
-                        run.iter()
-                            .map(|m| (m.id.index(), m.rate.value(), m.delivery.value()))
-                            .collect()
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// Overwrites this ledger's dynamic state from an
-    /// [`export`](Self::export) taken against the *same scenario*:
-    /// instance vectors are resized, member runs re-inserted in the
-    /// exported (id) order and every cached sum recomputed, restoring
-    /// the ledger bit-for-bit.
+    /// Checks that `other` was built from a scenario with this ledger's
+    /// VNF ids and service rates — the static shape a checkpointed
+    /// ledger must share with the ledger it replaces. Instance counts,
+    /// member runs and outage depths are dynamic state, carried whole by
+    /// the checkpoint's clone.
     ///
     /// # Errors
     ///
-    /// A static `&str` reason when the export's shape does not match
-    /// this ledger (wrong VNF count or ids, mismatched run lengths) or a
-    /// member carries an out-of-domain rate/probability; the ledger may
-    /// be partially overwritten and must be discarded in that case.
-    pub(crate) fn import(&mut self, slabs: &[SlabExport]) -> Result<(), &'static str> {
-        if slabs.len() != self.ids.len() {
-            return Err("snapshot VNF count does not match the scenario");
+    /// A static reason naming the first difference.
+    pub(crate) fn fits(&self, other: &Self) -> Result<(), &'static str> {
+        if self.ids != other.ids {
+            return Err("snapshot VNF ids do not match the scenario");
         }
-        for (export, (id, slab)) in slabs.iter().zip(self.ids.iter().zip(&mut self.slabs)) {
-            if export.vnf != id.index() {
-                return Err("snapshot VNF ids do not match the scenario");
-            }
-            if export.down.len() != export.members.len() || export.down.is_empty() {
-                return Err("snapshot instance vectors are inconsistent");
-            }
-            let m = export.down.len();
-            slab.down.clone_from(&export.down);
-            slab.host_down = export.host_down;
-            slab.members.clear();
-            slab.members.resize(m, Vec::new());
-            slab.sums.clear();
-            slab.sums.resize(m, 0.0);
-            slab.ext.clear();
-            slab.ext.resize(m, 0.0);
-            for (k, run) in export.members.iter().enumerate() {
-                let mut prev: Option<u32> = None;
-                for &(raw_id, raw_rate, raw_delivery) in run {
-                    if prev.is_some_and(|p| p >= raw_id) {
-                        return Err("snapshot member run is not id-sorted");
-                    }
-                    prev = Some(raw_id);
-                    let rate = ArrivalRate::new(raw_rate)
-                        .map_err(|_| "snapshot member rate out of domain")?;
-                    let delivery = DeliveryProbability::new(raw_delivery)
-                        .map_err(|_| "snapshot member delivery out of domain")?;
-                    slab.members[k].push(Member {
-                        id: RequestId::new(raw_id),
-                        rate,
-                        delivery,
-                        inflated: rate.inflated_by_loss(delivery).value(),
-                    });
-                }
-                slab.recompute(k);
-            }
-            slab.agg.set(None);
+        if self
+            .slabs
+            .iter()
+            .zip(&other.slabs)
+            .any(|(mine, theirs)| mine.service != theirs.service)
+        {
+            return Err("snapshot service rates do not match the scenario");
         }
         Ok(())
     }
@@ -1080,56 +1003,6 @@ mod tests {
             assert!(state.remove_request(vnf, extra.id()).is_some());
         }
         assert_eq!(state, snapshot); // PartialEq compares f64 sums exactly
-    }
-
-    #[test]
-    fn export_import_restores_the_ledger_bit_for_bit() {
-        let (scenario, mut state) = state();
-        for request in &scenario.requests()[..12] {
-            for &vnf in request.chain() {
-                let k = state.least_loaded_up(vnf).unwrap();
-                state
-                    .add_request(
-                        vnf,
-                        k,
-                        request.id(),
-                        request.arrival_rate(),
-                        request.delivery(),
-                    )
-                    .unwrap();
-            }
-        }
-        // Exercise every dynamic dimension: outage depth, host flag, and a
-        // scaled-out instance count.
-        let first = scenario.vnfs()[0].id();
-        let second = scenario.vnfs()[1].id();
-        assert!(state.mark_down(first, 0));
-        state.set_host_down(second, true);
-        state.add_instance(first).unwrap();
-        let reference = state.clone();
-        let export = state.export();
-        let mut restored = ControllerState::new(&scenario);
-        restored.import(&export).unwrap();
-        assert_eq!(restored, reference);
-        assert_eq!(
-            restored.balanced_latency().to_bits(),
-            reference.balanced_latency().to_bits()
-        );
-    }
-
-    #[test]
-    fn import_rejects_mismatched_shapes() {
-        let (scenario, state) = state();
-        let mut restored = ControllerState::new(&scenario);
-        let mut export = state.export();
-        export[0].vnf += 100;
-        assert!(restored.import(&export).is_err());
-        let mut truncated = state.export();
-        truncated.pop();
-        assert!(restored.import(&truncated).is_err());
-        let mut unsorted = state.export();
-        unsorted[0].members[0] = vec![(5, 1.0, 1.0), (3, 1.0, 1.0)];
-        assert!(restored.import(&unsorted).is_err());
     }
 
     #[test]

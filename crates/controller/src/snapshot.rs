@@ -1,11 +1,11 @@
 //! Checkpoint snapshots of a [`Controller`]'s dynamic state.
 //!
 //! A [`ControllerSnapshot`] captures everything a controller mutates
-//! while consuming a churn trace — the ledger's member runs and outage
-//! depths, the active-request set, the retry wheel, the counters, the
-//! latency integral and sample stream and the cluster's dynamic
-//! assignment — but none of the static shape (scenario, config, node
-//! fleet), which the restoring side already has.
+//! while consuming a churn trace — a clone of the ledger, the active
+//! requests, the retry wheel, the counters, the latency integral and
+//! sample stream and the cluster's dynamic assignment — but none of the
+//! static shape (config, node fleet), which the restoring side already
+//! has.
 //! [`Controller::restore`] applied to a controller built from the same
 //! scenario and config rewinds it bit-for-bit: every subsequent event
 //! produces the same outcome, journal record and report as the original
@@ -21,15 +21,15 @@
 
 use nfv_model::Request;
 
-use crate::ledger::SlabExport;
-use crate::ControllerReport;
+use crate::{ControllerReport, ControllerState};
 
 /// Why a snapshot could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SnapshotError {
-    /// The snapshot does not fit the controller it was applied to
-    /// (different scenario shape or cluster presence).
+    /// The snapshot does not fit the controller it was applied to: it
+    /// was taken from another scenario (VNF ids or service rates differ)
+    /// or another cluster shape (cluster presence or size differs).
     Mismatch {
         /// What did not match.
         reason: &'static str,
@@ -67,8 +67,8 @@ pub struct ControllerSnapshot {
     pub(crate) outages_seen: u64,
     /// Latency samples in insertion order.
     pub(crate) latency_samples: Vec<f64>,
-    /// The ledger's dynamic state per VNF.
-    pub(crate) slabs: Vec<SlabExport>,
+    /// The ledger.
+    pub(crate) state: ControllerState,
     /// Active requests in ascending id order.
     pub(crate) active: Vec<Request>,
     /// The retry queue's next sequence number.

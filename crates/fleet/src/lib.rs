@@ -40,13 +40,13 @@
 //! [`run_with_faults`] drives the same loop under an [`FaultPlan`] of
 //! injected control-plane faults. At the start of every faulted epoch
 //! each installed tenant is checkpointed ([`TenantSlot`] →
-//! [`SlotCheckpoint`]: controller snapshot + telemetry cursor +
-//! processed count) and every event pumped during the epoch is recorded
-//! in a per-tenant replay log. A worker panic mid-drain of a faulted
-//! epoch is contained by the supervised drain; the poisoned shard is
-//! restored from its checkpoints and caught up by replaying its logs (an
-//! epoch without checkpoints has nothing to restore, so a panic there is
-//! a [`FleetError::Pool`]).
+//! [`SlotCheckpoint`]: controller snapshot + a mark on the tenant's
+//! telemetry session + processed count) and every event pumped during
+//! the epoch is recorded in a per-tenant replay log. A worker panic
+//! mid-drain of a faulted epoch is contained by the supervised drain;
+//! the poisoned shard is restored from its checkpoints and caught up by
+//! replaying its logs (an epoch without checkpoints has nothing to
+//! restore, so a panic there is a [`FleetError::Pool`]).
 //! Channel drops/duplicates, tenant crashes, and injected conservation
 //! corruption are repaired at the epoch boundary the same way — restore
 //! plus full-epoch replay — so a recoverable faulted run produces a
@@ -71,7 +71,7 @@ use nfv_metrics::{sorted_percentile, Histogram};
 use nfv_parallel::{catch_task, default_threads, derive_seed, TaskPanic};
 use nfv_telemetry::{
     EventKind, Phase, PhaseProfile, Postmortem, Registry, SpanTree, Stopwatch, Telemetry,
-    TelemetryArtifacts, TelemetrySnapshot, TickSeries, FLIGHT_RECORDER_WINDOW,
+    TelemetryArtifacts, TickSeries, FLIGHT_RECORDER_WINDOW,
 };
 use nfv_workload::churn::{ChurnStream, ChurnTraceBuilder, TimedEvent};
 use nfv_workload::tenancy::tenant_seed;
@@ -739,7 +739,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     };
     let mut recovery = RecoveryReport::default();
     let mut quarantines: Vec<QuarantineRecord> = Vec::new();
-    let mut quarantined_telemetry: Vec<TelemetrySnapshot> = Vec::new();
+    let mut quarantined_artifacts: Vec<TelemetryArtifacts> = Vec::new();
     let mut checkpoints: Vec<Option<SlotCheckpoint>> = (0..spec.tenants).map(|_| None).collect();
     let mut logs: Vec<Vec<TimedEvent>> = (0..spec.tenants).map(|_| Vec::new()).collect();
     let mut epoch_pumped: Vec<u64> = vec![0; spec.tenants];
@@ -1067,13 +1067,15 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 }
                 let quarantine_watch = obs.then(Stopwatch::start);
                 for (tenant, cause) in to_quarantine {
-                    let slot = shard.retire(tenant);
-                    debug_assert!(slot.is_some(), "quarantined tenant was installed");
-                    drop(slot);
                     let t = tenant.as_usize();
-                    let Some(checkpoint) = checkpoints[t].take() else {
+                    let (Some(slot), Some(checkpoint)) =
+                        (shard.retire(tenant), checkpoints[t].take())
+                    else {
                         continue;
                     };
+                    // The slot's own session, rewound to the checkpoint
+                    // and closed: its frozen journal, series and profile.
+                    let artifacts = slot.quarantine(&checkpoint, epoch)?;
                     recovery.tenants_quarantined += 1;
                     chaos_tel.emit(epoch_end, epoch, || EventKind::TenantQuarantined {
                         tenant: u64::from(tenant.as_u32()),
@@ -1082,15 +1084,19 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                     // Flight-recorder dump: the checkpoint's journal tail
                     // and counters, frozen at the moment of quarantine.
                     if obs {
+                        let window = artifacts
+                            .events
+                            .len()
+                            .saturating_sub(FLIGHT_RECORDER_WINDOW);
                         postmortems.push(Postmortem::new(
                             u64::from(tenant.as_u32()),
                             epoch,
                             cause,
-                            checkpoint.telemetry.recent_events(FLIGHT_RECORDER_WINDOW),
+                            artifacts.events[window..].to_vec(),
                             checkpoint.report.counters(),
                         ));
                     }
-                    quarantined_telemetry.push(checkpoint.telemetry);
+                    quarantined_artifacts.push(artifacts);
                     quarantines.push(QuarantineRecord {
                         tenant,
                         epoch,
@@ -1214,11 +1220,8 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     } else {
         None
     };
-    for (quarantine, telemetry) in quarantines.iter().zip(quarantined_telemetry) {
+    for (quarantine, artifacts) in quarantines.iter().zip(quarantined_artifacts) {
         tenant_reports.push((quarantine.tenant, quarantine.report.clone()));
-        let mut session = Telemetry::disabled();
-        session.restore(&telemetry);
-        let artifacts = session.finish();
         if obs {
             accumulate_counters(&mut quarantine_counters, &quarantine.report);
             tenant_latency.push(observe_tenant(

@@ -8,7 +8,7 @@
 //! to running them serially.
 
 use nfv_controller::{Controller, ControllerReport, ControllerSnapshot};
-use nfv_telemetry::{Telemetry, TelemetryArtifacts, TelemetrySnapshot};
+use nfv_telemetry::{Telemetry, TelemetryArtifacts, TelemetryMark};
 use nfv_workload::churn::TimedEvent;
 use nfv_workload::TenantId;
 
@@ -16,15 +16,15 @@ use crate::channel::EventChannel;
 use crate::FleetError;
 
 /// An epoch-boundary checkpoint of one tenant slot: the controller
-/// snapshot, the telemetry cursor, the counter report at capture time,
-/// and the processed-event count. Restoring a slot from its checkpoint
-/// and replaying the epoch's pumped events reproduces the undisturbed
-/// slot bit for bit.
+/// snapshot, the mark on the slot's telemetry session, the counter
+/// report at capture time, and the processed-event count. Restoring a
+/// slot from its checkpoint and replaying the epoch's pumped events
+/// reproduces the undisturbed slot bit for bit.
 #[derive(Debug, Clone)]
 pub struct SlotCheckpoint {
     pub(crate) tenant: TenantId,
     pub(crate) controller: ControllerSnapshot,
-    pub(crate) telemetry: TelemetrySnapshot,
+    pub(crate) telemetry: TelemetryMark,
     pub(crate) report: ControllerReport,
     pub(crate) processed: u64,
     /// Cleared by an injected checkpoint corruption: an invalid
@@ -129,30 +129,31 @@ impl TenantSlot {
         self.wedged = wedged;
     }
 
-    /// Captures the slot's full recoverable state.
-    pub(crate) fn checkpoint(&self) -> SlotCheckpoint {
+    /// Captures the slot's full recoverable state. The telemetry part is
+    /// a mark on the slot's own session, which becomes its live mark.
+    pub(crate) fn checkpoint(&mut self) -> SlotCheckpoint {
         SlotCheckpoint {
             tenant: self.tenant,
             controller: self.controller.checkpoint(),
-            telemetry: self.telemetry.snapshot(),
+            telemetry: self.telemetry.mark(),
             report: self.controller.report(),
             processed: self.processed,
             valid: true,
         }
     }
 
-    /// Rewinds the slot to a checkpoint — controller, telemetry and
-    /// processed count restored, the channel cleared (its events are in
-    /// the epoch's replay log), the wedge lifted — then replays `log`
-    /// straight into the controller to catch up. Returns the events
-    /// replayed and the change to the processed count, which the shard's
-    /// own counter must follow.
+    /// Rewinds the slot to a checkpoint — controller restored, telemetry
+    /// rewound to the checkpoint's mark, processed count reset, the
+    /// channel cleared (its events are in the epoch's replay log), the
+    /// wedge lifted — then replays `log` straight into the controller to
+    /// catch up. Returns the events replayed and the change to the
+    /// processed count, which the shard's own counter must follow.
     ///
     /// # Errors
     ///
     /// [`FleetError::RestoreFailed`] if the controller snapshot does not
-    /// fit this controller (it always fits a checkpoint taken from the
-    /// same slot).
+    /// fit this controller or the mark is not the session's live mark
+    /// (neither happens for the latest checkpoint taken from this slot).
     pub(crate) fn recover(
         &mut self,
         checkpoint: &SlotCheckpoint,
@@ -164,13 +165,14 @@ impl TenantSlot {
             "checkpoints restore into the slot they were taken from"
         );
         let before = self.processed;
+        let tenant = self.tenant;
+        let failed = || FleetError::RestoreFailed { tenant, epoch };
+        self.telemetry
+            .rewind(&checkpoint.telemetry)
+            .map_err(|_| failed())?;
         self.controller
             .restore(&checkpoint.controller)
-            .map_err(|_| FleetError::RestoreFailed {
-                tenant: self.tenant,
-                epoch,
-            })?;
-        self.telemetry.restore(&checkpoint.telemetry);
+            .map_err(|_| failed())?;
         self.wedged = false;
         while self.channel.pop().is_some() {}
         for event in log {
@@ -178,6 +180,29 @@ impl TenantSlot {
         }
         self.processed = checkpoint.processed + log.len() as u64;
         Ok((log.len() as u64, self.processed as i64 - before as i64))
+    }
+
+    /// Retires the slot through quarantine: its telemetry session rewinds
+    /// to the checkpoint's mark and closes there, so the returned
+    /// artifacts hold exactly what the tenant had recorded at checkpoint
+    /// time. The controller is dropped unread.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::RestoreFailed`] if the mark is not the session's
+    /// live mark.
+    pub(crate) fn quarantine(
+        mut self,
+        checkpoint: &SlotCheckpoint,
+        epoch: u64,
+    ) -> Result<TelemetryArtifacts, FleetError> {
+        self.telemetry
+            .rewind(&checkpoint.telemetry)
+            .map_err(|_| FleetError::RestoreFailed {
+                tenant: self.tenant,
+                epoch,
+            })?;
+        Ok(self.telemetry.finish())
     }
 
     /// Chaos hook: breaks the controller's admission conservation law so

@@ -5,10 +5,15 @@
 //! faults degrade gracefully and typed: quarantine for a corrupt
 //! checkpoint, `PumpStalled` for a wedged drain.
 
+use nfv_controller::Controller;
 use nfv_fleet::{
     run, run_with_faults, FaultKind, FaultPlan, FaultRates, FleetError, FleetOutcome, FleetSpec,
 };
-use nfv_workload::TenantId;
+use nfv_parallel::derive_seed;
+use nfv_telemetry::{Telemetry, TelemetryArtifacts, FLIGHT_RECORDER_WINDOW};
+use nfv_workload::churn::ChurnTraceBuilder;
+use nfv_workload::tenancy::tenant_seed;
+use nfv_workload::{ScenarioBuilder, ServiceRatePolicy, TenantId};
 
 fn spec() -> FleetSpec {
     FleetSpec {
@@ -150,6 +155,88 @@ fn corrupt_checkpoint_quarantines_the_tenant_and_conserves() {
         .iter()
         .any(|(t, r)| *t == TenantId::new(1) && *r == quarantine.report));
     assert!(!outcome.chaos_artifacts.journal_jsonl().is_empty());
+}
+
+/// The oracle for a quarantined tenant: its controller alone, built and
+/// fed as the fleet builds and feeds it, through every event of its
+/// stream up to `cutoff`, under a fresh telemetry session.
+fn solo_artifacts(spec: &FleetSpec, tenant: u32, cutoff: f64) -> TelemetryArtifacts {
+    let scenario = ScenarioBuilder::new()
+        .vnfs(spec.vnfs)
+        .requests(spec.requests)
+        .service_rate_policy(ServiceRatePolicy::ScaledToLoad {
+            target_utilization: spec.target_utilization,
+        })
+        .seed(tenant_seed(spec.seed, TenantId::new(tenant)))
+        .build()
+        .unwrap();
+    let stream = ChurnTraceBuilder::new()
+        .horizon(spec.horizon)
+        .arrival_rate(spec.arrival_rate)
+        .mean_holding(spec.mean_holding)
+        .tick_period(spec.tick_period)
+        .seed(derive_seed(spec.seed, u64::from(tenant)))
+        .stream(&scenario)
+        .unwrap();
+    let mut controller = Controller::new(&scenario, spec.controller);
+    let mut tel = Telemetry::enabled();
+    for event in stream.take_while(|event| event.time() <= spec.epoch * cutoff) {
+        controller.ingest(event, &mut tel);
+    }
+    tel.finish()
+}
+
+#[test]
+fn a_quarantined_tenant_keeps_exactly_its_checkpoint_time_journal() {
+    let spec = spec();
+    let baseline = run(&spec).unwrap();
+    let mut quarantined = 0;
+    for epoch in 1..spec.epochs() {
+        for tenant in 0..spec.tenants as u32 {
+            let plan = FaultPlan::none()
+                .with_fault(epoch as usize, FaultKind::CorruptCheckpoint { tenant });
+            let outcome = run_with_faults(&spec, &plan).unwrap();
+            let [quarantine] = outcome.quarantines.as_slice() else {
+                // The tenant was in transit between shards; the fault
+                // never fired.
+                assert!(outcome.quarantines.is_empty());
+                continue;
+            };
+            assert_eq!(quarantine.tenant, TenantId::new(tenant));
+            quarantined += 1;
+            // The checkpoint at the epoch's start follows every event up
+            // to the last boundary the tenant crossed installed: the
+            // previous epoch's end, or one epoch earlier when it spent
+            // the previous epoch in transit.
+            let parked_last_epoch = baseline
+                .migrations
+                .iter()
+                .any(|m| m.tenant == TenantId::new(tenant) && m.retired_epoch + 2 == epoch);
+            let cutoff = if parked_last_epoch { epoch - 1 } else { epoch };
+            let solo = solo_artifacts(&spec, tenant, cutoff as f64);
+            // Quarantined parts merge after every live shard's, so the
+            // tenant's part is the journal's and series' tail.
+            let merged = &outcome.artifacts;
+            assert!(merged.events.len() >= solo.events.len());
+            let part = &merged.events[merged.events.len() - solo.events.len()..];
+            for (got, want) in part.iter().zip(&solo.events) {
+                assert_eq!(
+                    (got.time, got.tick, &got.kind),
+                    (want.time, want.tick, &want.kind),
+                    "tenant {tenant} quarantined in epoch {epoch}"
+                );
+            }
+            let series: Vec<_> = merged.series.samples().copied().collect();
+            let solo_series: Vec<_> = solo.series.samples().copied().collect();
+            assert!(series.ends_with(&solo_series), "tenant {tenant} series");
+            // The flight recorder holds the same journal's last window,
+            // the tenant's own sequence numbers included.
+            let window = solo.events.len().saturating_sub(FLIGHT_RECORDER_WINDOW);
+            assert_eq!(outcome.postmortems.len(), 1);
+            assert_eq!(outcome.postmortems[0].events, solo.events[window..]);
+        }
+    }
+    assert!(quarantined >= 6, "only {quarantined} quarantines fired");
 }
 
 #[test]

@@ -129,6 +129,16 @@ impl SampleSet {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = None;
     }
+
+    /// Keeps the first `len` samples in insertion order and drops the
+    /// rest; like `Vec::truncate`, a `len` at or beyond the current
+    /// length changes nothing.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.samples.len() {
+            self.samples.truncate(len);
+            self.sorted = None;
+        }
+    }
 }
 
 impl PartialEq for SampleSet {

@@ -119,6 +119,21 @@ impl Summary {
         self.stats.merge(&other.stats);
         self.samples.merge(&other.samples);
     }
+
+    /// Rewinds to an earlier state of this summary: keeps the first
+    /// `stats.count()` observations and restores the moments to `stats`,
+    /// which must be what [`stats`](Self::stats) returned when the
+    /// summary held exactly those observations. O(1) apart from the
+    /// dropped samples. Like `Vec::truncate`, a `stats` counting more
+    /// observations than the summary holds changes nothing.
+    pub fn truncate(&mut self, stats: OnlineStats) {
+        if stats.count() <= self.count() {
+            // A summary's sample set and moments skip the same
+            // non-finite values, so `count` is also the sample length.
+            self.samples.truncate(stats.count() as usize);
+            self.stats = stats;
+        }
+    }
 }
 
 impl Extend<f64> for Summary {
@@ -173,6 +188,21 @@ mod tests {
         let s = Summary::new();
         assert!(s.is_empty());
         assert_eq!(s.to_string(), "no samples");
+    }
+
+    #[test]
+    fn truncate_rewinds_to_an_earlier_state_exactly() {
+        let mut s: Summary = [4.0, 1.0].into_iter().collect();
+        let earlier = s.clone();
+        s.extend([9.0, f64::NAN, 2.5]);
+        assert_eq!(s.percentile(1.0), 9.0);
+        s.truncate(*earlier.stats());
+        assert_eq!(s, earlier);
+        assert_eq!(s.percentile(1.0), 4.0, "the sorted cache was rebuilt");
+        let mut longer = s.clone();
+        longer.push(7.0);
+        s.truncate(*longer.stats());
+        assert_eq!(s, earlier, "a later state changes nothing");
     }
 
     #[test]

@@ -28,27 +28,6 @@ pub fn escape_label(s: &str) -> String {
     out
 }
 
-/// Reverses [`escape_label`]. Returns `None` for a dangling or unknown
-/// escape — an unparseable label value.
-#[must_use]
-pub fn unescape_label(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 /// Splits a registry key into its bare metric name and an optional
 /// rendered label set (`name{a="b"}` → `("name", Some("a=\"b\""))`).
 fn split_key(key: &str) -> (&str, Option<&str>) {
@@ -177,18 +156,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn label_escaping_round_trips_awkward_values() {
-        for value in ["plain", "a\"b", "back\\slash", "new\nline", "üñíçø∂é", ""] {
-            let escaped = escape_label(value);
-            assert!(!escaped.contains('\n'), "escaped form is single-line");
-            assert_eq!(unescape_label(&escaped).as_deref(), Some(value));
+    fn label_escaping_follows_the_exposition_rules() {
+        for (value, escaped) in [
+            ("plain", "plain"),
+            ("a\"b", "a\\\"b"),
+            ("back\\slash", "back\\\\slash"),
+            ("new\nline", "new\\nline"),
+            ("üñíçø∂é", "üñíçø∂é"),
+            ("", ""),
+        ] {
+            assert_eq!(escape_label(value), escaped);
         }
-    }
-
-    #[test]
-    fn unescape_rejects_dangling_and_unknown_escapes() {
-        assert_eq!(unescape_label("dangling\\"), None);
-        assert_eq!(unescape_label("bad\\t"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! - a structured **event journal** ([`TraceEvent`]/[`EventKind`]):
 //!   typed admit/reject/shed/retry/outage/re-optimization records kept
-//!   in a bounded in-memory [`RingSink`] and written out once per format
+//!   in a bounded in-memory ring and written out once per format
 //!   by [`TelemetryArtifacts::journal_jsonl`] (one JSON object per line)
 //!   and [`TelemetryArtifacts::journal_csv`] (the fixed-column per-event
 //!   trace shape), each under a schema-version header; the JSONL journal
@@ -22,6 +22,26 @@
 //!   [`Registry`] with Prometheus text and hand-rolled JSON exporters,
 //!   and a bounded flight-recorder [`Postmortem`] window captured for
 //!   quarantined tenants.
+//!
+//! # Marks and rewinds
+//!
+//! Crash recovery rewinds a session instead of copying it.
+//! [`Telemetry::mark`] records where the session stands — the sequence
+//! counter, the journal ring's and tick series' lengths and drop counts,
+//! and each phase's O(1) streaming statistics — and
+//! [`Telemetry::rewind`] truncates the same session back to that point,
+//! so a checkpoint's telemetry part costs O(phases) and owns no heap
+//! memory. The ring and series are bounded, so they may evict entries
+//! the mark still needs. Under a live mark an evicted entry that was
+//! retained at the mark moves into a side buffer instead of being
+//! dropped. That buffer never holds more than the ring held at the mark,
+//! and the rewind puts it back in front, so the rewound session equals
+//! one that never ran past the mark. A session keeps one live mark: a
+//! new mark retires the old one, and a mark the session cannot honour
+//! is refused with [`RewindError`], never a panic or an inexact rewind.
+//! The fleet's tenant checkpoints pair a mark with a controller snapshot;
+//! the snapshot's per-event latency sample stream is the one part of
+//! such a checkpoint that still grows with history.
 //!
 //! # Determinism contract
 //!
@@ -64,19 +84,23 @@ mod export;
 pub mod json;
 mod recorder;
 mod registry;
+mod ring;
 mod series;
 mod sink;
 mod span;
 mod trace;
 
 pub use event::{EventKind, ReoptPhase, TraceEvent, CSV_HEADER};
-pub use export::{escape_label, unescape_label};
+pub use export::escape_label;
 pub use recorder::{Postmortem, FLIGHT_RECORDER_WINDOW};
 pub use registry::{Registry, RegistryError};
 pub use series::{TickSample, TickSeries, SERIES_CSV_HEADER};
-pub use sink::{parse_jsonl_journal, JournalError, RingSink, JOURNAL_SCHEMA_VERSION};
+pub use sink::{parse_jsonl_journal, JournalError, JOURNAL_SCHEMA_VERSION};
 pub use span::{Phase, PhaseProfile, SpanToken, Stopwatch};
 pub use trace::{SpanId, SpanTree};
+
+use nfv_metrics::OnlineStats;
+use ring::{Ring, RingMark};
 
 /// Everything a telemetry session collected, returned by
 /// [`Telemetry::finish`].
@@ -148,47 +172,66 @@ impl TelemetryArtifacts {
 
 struct Inner {
     seq: u64,
-    ring: RingSink,
+    ring: Ring<TraceEvent>,
     profile: PhaseProfile,
     series: TickSeries,
+    /// The live mark, if one was taken, with the journal events and tick
+    /// samples it owns that the ring and series evicted since.
+    live: Option<Live>,
 }
 
-/// A point-in-time copy of a telemetry session's collected state,
-/// produced by [`Telemetry::snapshot`] and reapplied by
-/// [`Telemetry::restore`].
+/// A session's live mark and its side buffers. Each buffer holds at most
+/// what its ring retained at the mark, so at most one capacity.
+struct Live {
+    position: Position,
+    events: Vec<TraceEvent>,
+    samples: Vec<TickSample>,
+}
+
+/// Everything a mark records: counters and lengths only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Position {
+    seq: u64,
+    ring: RingMark,
+    series: RingMark,
+    phases: [OnlineStats; Phase::ALL.len()],
+}
+
+/// A position in one telemetry session, taken by [`Telemetry::mark`] and
+/// returned to by [`Telemetry::rewind`].
 ///
-/// The snapshot captures the journal ring (events plus drop counter),
-/// the sequence counter, the timing profile, and the tick series — the
-/// session's full state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetrySnapshot {
-    inner: Option<(u64, RingSink, PhaseProfile, TickSeries)>,
+/// A mark records the sequence counter, the journal ring's and tick
+/// series' lengths and drop counts, and each phase's streaming
+/// statistics — O(phases) integers and floats, no heap memory. It copies
+/// no recorded data: the session itself keeps whatever the mark needs
+/// (see [`Telemetry::mark`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TelemetryMark {
+    position: Option<Position>,
 }
 
-impl TelemetrySnapshot {
-    /// The most recent `limit` journal events captured in the snapshot,
-    /// oldest first — the flight recorder reads its post-mortem window
-    /// through this. Empty for a disabled session's snapshot.
-    #[must_use]
-    pub fn recent_events(&self, limit: usize) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |(_, ring, _, _)| {
-                let skip = ring.len().saturating_sub(limit);
-                ring.events().skip(skip).cloned().collect()
-            })
-    }
+/// Why [`Telemetry::rewind`] refused a mark; the session is unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum RewindError {
+    /// The mark is not the session's live mark: a later
+    /// [`Telemetry::mark`] superseded it, another session took it, or
+    /// one of the two is disabled and the other is not.
+    NotLive,
+}
 
-    /// The tick series captured in the snapshot, if the session was
-    /// enabled.
-    #[must_use]
-    pub fn series(&self) -> Option<&TickSeries> {
-        self.inner.as_ref().map(|(_, _, _, series)| series)
+impl std::fmt::Display for RewindError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NotLive => write!(f, "the mark is not this session's live mark"),
+        }
     }
 }
+
+impl std::error::Error for RewindError {}
 
 /// A telemetry session handle, threaded by `&mut` through the
-/// controller's event loop; [`Telemetry::snapshot`]/[`Telemetry::restore`]
+/// controller's event loop; [`Telemetry::mark`]/[`Telemetry::rewind`]
 /// rewind a session for checkpoint-based crash recovery. See the crate
 /// docs for the determinism contract.
 pub struct Telemetry {
@@ -221,9 +264,10 @@ impl Telemetry {
         Self {
             inner: Some(Box::new(Inner {
                 seq: 0,
-                ring: RingSink::new(max_events),
+                ring: Ring::new(max_events),
                 profile: PhaseProfile::new(),
                 series: TickSeries::new(max_samples),
+                live: None,
             })),
         }
     }
@@ -248,7 +292,14 @@ impl Telemetry {
             kind: kind(),
         };
         inner.seq += 1;
-        inner.ring.record(&event);
+        match inner.live.as_mut() {
+            Some(live) => inner
+                .ring
+                .push_marked(event, live.position.ring, &mut live.events),
+            None => {
+                inner.ring.push(event);
+            }
+        }
     }
 
     /// Opens a timing span (reads the clock only when enabled).
@@ -266,43 +317,91 @@ impl Telemetry {
     /// Records one per-tick sample; the closure runs only when the
     /// session is enabled.
     pub fn sample_tick<F: FnOnce() -> TickSample>(&mut self, sample: F) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.series.push(sample());
+        let Some(inner) = self.inner.as_mut() else {
+            return;
+        };
+        match inner.live.as_mut() {
+            Some(live) => {
+                inner
+                    .series
+                    .ring
+                    .push_marked(sample(), live.position.series, &mut live.samples);
+            }
+            None => inner.series.push(sample()),
         }
     }
 
-    /// Captures the session's collected state for later [`restore`].
-    /// Disabled sessions snapshot to (and restore from) the disabled
-    /// state.
+    /// Marks the session's current position for a later
+    /// [`rewind`](Self::rewind), in O(phases) time, copying nothing.
     ///
-    /// [`restore`]: Telemetry::restore
-    #[must_use]
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            inner: self.inner.as_ref().map(|inner| {
-                (
-                    inner.seq,
-                    inner.ring.clone(),
-                    inner.profile.clone(),
-                    inner.series.clone(),
-                )
-            }),
+    /// The new mark becomes the session's *live* mark and retires the
+    /// previous one. From now on, an entry the journal ring or tick
+    /// series retained at the mark and then evicts to honor its capacity
+    /// moves into a side buffer instead of being dropped, so a rewind is
+    /// exact however far the session ran on. The buffers hold at most
+    /// what the ring and series retained at the mark. A disabled session
+    /// hands out a disabled mark.
+    #[must_use = "a mark that is not kept cannot be rewound to"]
+    pub fn mark(&mut self) -> TelemetryMark {
+        let Some(inner) = self.inner.as_mut() else {
+            return TelemetryMark { position: None };
+        };
+        let position = Position {
+            seq: inner.seq,
+            ring: inner.ring.mark(),
+            series: inner.series.ring.mark(),
+            phases: inner.profile.mark(),
+        };
+        match inner.live.as_mut() {
+            Some(live) => {
+                live.position = position;
+                live.events.clear();
+                live.samples.clear();
+            }
+            None => {
+                inner.live = Some(Live {
+                    position,
+                    events: Vec::new(),
+                    samples: Vec::new(),
+                });
+            }
+        }
+        TelemetryMark {
+            position: Some(position),
         }
     }
 
-    /// Rewinds the session to a previously captured [`snapshot`],
-    /// discarding everything recorded since.
+    /// Rewinds the session to its live mark, discarding everything
+    /// recorded since: journal events and tick samples are truncated
+    /// (evicted ones put back from the side buffers), the sequence
+    /// counter is reset, and each phase keeps only its spans from before
+    /// the mark. The mark stays live, so the session can rewind to it
+    /// again.
     ///
-    /// [`snapshot`]: Telemetry::snapshot
-    pub fn restore(&mut self, snapshot: &TelemetrySnapshot) {
-        self.inner = snapshot.inner.as_ref().map(|(seq, ring, profile, series)| {
-            Box::new(Inner {
-                seq: *seq,
-                ring: ring.clone(),
-                profile: profile.clone(),
-                series: series.clone(),
-            })
-        });
+    /// # Errors
+    ///
+    /// [`RewindError::NotLive`] when `mark` is not this session's live
+    /// mark; nothing changes then.
+    pub fn rewind(&mut self, mark: &TelemetryMark) -> Result<(), RewindError> {
+        let Some(inner) = self.inner.as_mut() else {
+            return match mark.position {
+                None => Ok(()),
+                Some(_) => Err(RewindError::NotLive),
+            };
+        };
+        let Some(live) = inner
+            .live
+            .as_mut()
+            .filter(|live| Some(live.position) == mark.position)
+        else {
+            return Err(RewindError::NotLive);
+        };
+        let position = live.position;
+        inner.seq = position.seq;
+        inner.ring.rewind(position.ring, &mut live.events);
+        inner.series.ring.rewind(position.series, &mut live.samples);
+        inner.profile.rewind(&position.phases);
+        Ok(())
     }
 
     /// Closes the session and returns the collected artifacts (empty for
@@ -314,7 +413,7 @@ impl Telemetry {
         };
         TelemetryArtifacts {
             dropped_events: inner.ring.dropped(),
-            events: inner.ring.into_events(),
+            events: inner.ring.into_vec(),
             profile: inner.profile,
             series: inner.series,
         }
@@ -401,37 +500,36 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_rewinds_to_bit_identical_artifacts() {
-        let mut tel = Telemetry::enabled();
-        tel.emit(1.0, 0, || EventKind::Admit {
-            request: RequestId::new(1),
+    fn rewind_returns_to_bit_identical_artifacts() {
+        let admit = |id: u32| EventKind::Admit {
+            request: RequestId::new(id),
             hops: 1,
-        });
-        let snap = tel.snapshot();
+        };
+        let mut tel = Telemetry::enabled();
         let mut reference = Telemetry::enabled();
-        reference.restore(&snap);
-        // Diverge, then rewind and replay the same tail on both.
-        tel.emit(9.0, 1, || EventKind::Admit {
-            request: RequestId::new(9),
-            hops: 3,
-        });
-        tel.restore(&snap);
         for session in [&mut tel, &mut reference] {
-            session.emit(2.0, 1, || EventKind::Admit {
-                request: RequestId::new(2),
-                hops: 2,
-            });
+            session.emit(1.0, 0, || admit(1));
+        }
+        let mark = tel.mark();
+        // Diverge, then rewind and replay the same tail on both.
+        tel.emit(9.0, 1, || admit(9));
+        tel.rewind(&mark).unwrap();
+        for session in [&mut tel, &mut reference] {
+            session.emit(2.0, 1, || admit(2));
         }
         assert_eq!(tel.finish(), reference.finish());
     }
 
     #[test]
-    fn disabled_snapshot_restores_to_disabled() {
-        let tel = Telemetry::disabled();
-        let snap = tel.snapshot();
-        let mut target = Telemetry::enabled();
-        target.restore(&snap);
-        assert!(!target.is_enabled());
+    fn disabled_marks_rewind_only_disabled_sessions() {
+        let mut off = Telemetry::disabled();
+        let off_mark = off.mark();
+        assert_eq!(off.rewind(&off_mark), Ok(()));
+        let mut on = Telemetry::enabled();
+        let on_mark = on.mark();
+        assert_eq!(on.rewind(&off_mark), Err(RewindError::NotLive));
+        assert_eq!(off.rewind(&on_mark), Err(RewindError::NotLive));
+        assert!(!off.is_enabled());
     }
 
     #[test]

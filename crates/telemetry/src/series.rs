@@ -1,9 +1,10 @@
 //! Bounded per-tick time-series sampling.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
+
+use crate::ring::Ring;
 
 /// One per-tick snapshot of the controller's load state — everything is
 /// derived from the deterministic ledger, so same-seed series are
@@ -61,9 +62,7 @@ impl TickSample {
 /// memory without bound.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TickSeries {
-    capacity: usize,
-    samples: VecDeque<TickSample>,
-    dropped: u64,
+    pub(crate) ring: Ring<TickSample>,
 }
 
 impl TickSeries {
@@ -71,54 +70,44 @@ impl TickSeries {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity,
-            samples: VecDeque::with_capacity(capacity.min(1024)),
-            dropped: 0,
+            ring: Ring::new(capacity),
         }
     }
 
     /// Appends one sample, evicting the oldest when full.
     pub fn push(&mut self, sample: TickSample) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(sample);
+        self.ring.push(sample);
     }
 
     /// Retained samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &TickSample> {
-        self.samples.iter()
+        self.ring.iter()
     }
 
     /// Number of retained samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.ring.len()
     }
 
     /// Whether nothing is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.ring.len() == 0
     }
 
     /// Samples evicted to honor the capacity bound.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Appends another worker's series after this one (in-order merge:
     /// callers fold worker results in worker-index order, so the merged
     /// series is identical at any thread count).
     pub fn merge(&mut self, other: &TickSeries) {
-        self.dropped += other.dropped;
-        for sample in &other.samples {
+        self.ring.add_dropped(other.dropped());
+        for sample in other.samples() {
             self.push(*sample);
         }
     }
@@ -128,7 +117,7 @@ impl TickSeries {
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{SERIES_CSV_HEADER}");
-        for sample in &self.samples {
+        for sample in self.samples() {
             let _ = writeln!(out, "{}", sample.to_csv_row());
         }
         out
@@ -142,9 +131,7 @@ impl Default for TickSeries {
     /// empty.
     fn default() -> Self {
         Self {
-            capacity: 4096,
-            samples: VecDeque::new(),
-            dropped: 0,
+            ring: Ring::unreserved(4096),
         }
     }
 }

@@ -1,13 +1,11 @@
-//! The in-memory journal ring and the journal file formats: the schema
-//! headers [`TelemetryArtifacts::journal_jsonl`] and
+//! The journal file formats: the schema headers
+//! [`TelemetryArtifacts::journal_jsonl`] and
 //! [`TelemetryArtifacts::journal_csv`] stamp, and the JSONL parser that
 //! checks its header. The CSV journal is write-only: nothing in the
 //! workspace reads it back.
 //!
 //! [`TelemetryArtifacts::journal_jsonl`]: crate::TelemetryArtifacts::journal_jsonl
 //! [`TelemetryArtifacts::journal_csv`]: crate::TelemetryArtifacts::journal_csv
-
-use std::collections::VecDeque;
 
 use crate::event::{TraceEvent, CSV_HEADER};
 use crate::json::{get_u64, parse_object, JsonObject};
@@ -92,69 +90,6 @@ pub fn parse_jsonl_journal(text: &str) -> Result<Vec<TraceEvent>, JournalError> 
         .collect()
 }
 
-/// A bounded in-memory ring: keeps the most recent `capacity` events and
-/// counts the ones that fell off the front.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RingSink {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted to honor the capacity bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the ring into the retained events, oldest first.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
-    }
-
-    /// Records one event, evicting the oldest when the ring is full.
-    pub fn record(&mut self, event: &TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,27 +107,6 @@ mod tests {
                 hops: 1,
             },
         }
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_and_counts_drops() {
-        let mut ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.record(&event(i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring.events().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(ring.into_events().len(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let mut ring = RingSink::new(0);
-        ring.record(&event(0));
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
     }
 
     fn journal(n: u64) -> TelemetryArtifacts {

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use nfv_metrics::Summary;
+use nfv_metrics::{OnlineStats, Summary};
 
 /// The instrumented hot phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,6 +152,20 @@ impl PhaseProfile {
     pub fn merge(&mut self, other: &PhaseProfile) {
         for (mine, theirs) in self.durations.iter_mut().zip(&other.durations) {
             mine.merge(theirs);
+        }
+    }
+
+    /// Each phase's streaming statistics, the O(1) position
+    /// [`rewind`](Self::rewind) returns to.
+    pub(crate) fn mark(&self) -> [OnlineStats; Phase::ALL.len()] {
+        std::array::from_fn(|i| *self.durations[i].stats())
+    }
+
+    /// Drops every span recorded since `mark` was taken from this
+    /// profile.
+    pub(crate) fn rewind(&mut self, mark: &[OnlineStats; Phase::ALL.len()]) {
+        for (summary, stats) in self.durations.iter_mut().zip(mark) {
+            summary.truncate(*stats);
         }
     }
 

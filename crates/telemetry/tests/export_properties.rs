@@ -4,8 +4,29 @@
 //! never produce unparseable output.
 
 use nfv_telemetry::json::{get_str, parse_object, JsonObject};
-use nfv_telemetry::{escape_label, unescape_label, Registry};
+use nfv_telemetry::{escape_label, Registry};
 use proptest::prelude::*;
+
+/// The inverse of [`escape_label`], for checking that escaping loses
+/// nothing. `None` for a dangling or unknown escape. The export is
+/// write-only, so the reader lives here rather than in the crate.
+fn unescape_label(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('"') => out.push('"'),
+            Some('n') => out.push('\n'),
+            _ => return None,
+        }
+    }
+    Some(out)
+}
 
 /// The adversarial alphabet: every escape-relevant character plus ASCII,
 /// control bytes, and non-ASCII code points (accented, CJK, emoji).
