@@ -32,7 +32,7 @@ struct Member {
 }
 
 /// Per-VNF slice of the ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VnfSlab {
     service: ServiceRate,
     /// Outage depth per instance: 0 means up. Overlapping outage windows
@@ -65,6 +65,33 @@ struct VnfSlab {
     /// the runs in canonical `(instance, id)` order, so the cached value is
     /// always bit-identical to a from-scratch recompute.
     agg: Cell<Option<(f64, f64)>>,
+}
+
+/// `clone` is what `derive` writes; `clone_from` copies field by field
+/// into the target's own vectors, so a restore reuses them instead of
+/// allocating afresh.
+impl Clone for VnfSlab {
+    fn clone(&self) -> Self {
+        Self {
+            service: self.service,
+            down: self.down.clone(),
+            host_down: self.host_down,
+            members: self.members.clone(),
+            sums: self.sums.clone(),
+            ext: self.ext.clone(),
+            agg: self.agg.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.service.clone_from(&source.service);
+        self.down.clone_from(&source.down);
+        self.host_down.clone_from(&source.host_down);
+        self.members.clone_from(&source.members);
+        self.sums.clone_from(&source.sums);
+        self.ext.clone_from(&source.ext);
+        self.agg.clone_from(&source.agg);
+    }
 }
 
 impl PartialEq for VnfSlab {
@@ -160,7 +187,7 @@ impl VnfSlab {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ControllerState {
     /// Raw `VnfId` index → dense slab slot (`NO_VNF` for unknown ids).
     index: Vec<u32>,
@@ -168,6 +195,25 @@ pub struct ControllerState {
     ids: Vec<VnfId>,
     /// Dense per-VNF slabs, in `ids` order.
     slabs: Vec<VnfSlab>,
+}
+
+/// Like [`VnfSlab`]'s: `clone` as derived, `clone_from` reusing the
+/// target's vectors (`Controller::restore` copies a snapshot's ledger
+/// this way).
+impl Clone for ControllerState {
+    fn clone(&self) -> Self {
+        Self {
+            index: self.index.clone(),
+            ids: self.ids.clone(),
+            slabs: self.slabs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.index.clone_from(&source.index);
+        self.ids.clone_from(&source.ids);
+        self.slabs.clone_from(&source.slabs);
+    }
 }
 
 impl PartialEq for ControllerState {
@@ -1003,6 +1049,60 @@ mod tests {
             assert!(state.remove_request(vnf, extra.id()).is_some());
         }
         assert_eq!(state, snapshot); // PartialEq compares f64 sums exactly
+    }
+
+    #[test]
+    fn clone_from_onto_a_differing_ledger_equals_clone() {
+        let (scenario, _) = state();
+        let load = |state: &mut ControllerState, requests: &[nfv_model::Request]| {
+            for request in requests {
+                for &vnf in request.chain() {
+                    let k = state.least_loaded_up(vnf).unwrap();
+                    state
+                        .add_request(
+                            vnf,
+                            k,
+                            request.id(),
+                            request.arrival_rate(),
+                            request.delivery(),
+                        )
+                        .unwrap();
+                }
+            }
+        };
+        let vnf = scenario.vnfs()[0].id();
+        for warm_source in [false, true] {
+            let mut source = ControllerState::new(&scenario);
+            load(&mut source, &scenario.requests()[..8]);
+            assert!(source.mark_down(vnf, 0));
+            if warm_source {
+                let _ = source.balanced_latency();
+            }
+            // The target has another instance count, other member runs,
+            // and a balanced-W cache warmed on its own members — stale
+            // once the source's state lands on it.
+            let mut target = ControllerState::new(&scenario);
+            target.add_instance(vnf).unwrap();
+            load(&mut target, &scenario.requests()[8..20]);
+            let _ = target.balanced_latency();
+            assert_ne!(target.instances(vnf), source.instances(vnf));
+            let cloned = source.clone();
+            target.clone_from(&source);
+            assert_eq!(target, cloned);
+            assert_eq!(target.instances(vnf), source.instances(vnf));
+            assert_eq!(
+                target.balanced_latency().to_bits(),
+                cloned.balanced_latency().to_bits()
+            );
+            assert_eq!(
+                target.balanced_latency().to_bits(),
+                source.balanced_latency_from_scratch().to_bits()
+            );
+            assert_eq!(
+                target.predicted_latency().to_bits(),
+                cloned.predicted_latency().to_bits()
+            );
+        }
     }
 
     #[test]

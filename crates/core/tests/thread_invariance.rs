@@ -155,12 +155,12 @@ fn anytime_experiments_are_thread_count_invariant() {
 
 #[test]
 fn fleet_experiment_is_thread_count_invariant() {
-    // The fleet loop alternates a serial pump phase with a parallel drain
-    // phase over the worker pool; shards fold back in shard-id order and
-    // journals merge in shard order, so every report, every epoch record,
-    // every migration and the merged journal must be byte-identical at 1,
-    // 2 and 8 threads. The spec leaves `threads: 0` so the loop picks up
-    // the process-wide default this harness drives.
+    // Each fleet epoch is one call over the worker pool in which every
+    // shard pumps and drains its own tenants; shards fold back in
+    // shard-id order and journals merge in shard order, so every report,
+    // every epoch record, every migration and the merged journal must be
+    // byte-identical at 1, 2 and 8 threads. The spec leaves `threads: 0`
+    // so the loop picks up the process-wide default this harness drives.
     assert_invariant("fleet point (8 tenants / 2 shards) + journal", || {
         let outcome = fleet::run_fleet_point(8, 2, 42).unwrap();
         format!(

@@ -1,14 +1,16 @@
-//! Bounded SPSC-style event channels between trace streams and shards.
+//! Bounded event channels between trace streams and controllers.
 //!
-//! One channel sits between each tenant's (lazy) trace stream and the
-//! shard that owns the tenant: the fleet's serial pump phase is the
-//! single producer, the owning shard's drain phase is the single
-//! consumer, and the two phases alternate under the epoch loop — so the
+//! One channel sits between each tenant's (lazy) trace stream and its
+//! controller, inside the tenant's slot: the slot's pump is the single
+//! producer, its drain the single consumer, and the owning shard
+//! alternates the two in backpressure rounds on one worker — so the
 //! buffer needs capacity bookkeeping, not atomics. The bound is the
 //! backpressure mechanism: a full channel stalls its tenant's stream
-//! until the next drain round, and because pump order and drain order
-//! are fixed, the stall pattern (and therefore every downstream
-//! decision) is a pure function of the seed.
+//! until the round's drain, and because a tenant's rounds depend on its
+//! own stream alone, the stall pattern is a pure function of the seed.
+//! The bound decides how many rounds an epoch takes, never which events
+//! a controller sees or in what order — save an injected chaos
+//! duplicate, which is lost when the channel is full.
 
 use std::collections::VecDeque;
 

@@ -1,8 +1,8 @@
 //! Two-phase cross-shard tenant handoff with conservation accounting.
 //!
-//! Rebalancing moves a whole tenant — controller, channel, telemetry —
-//! from the most-loaded shard to the least-loaded one. The move is two
-//! deterministic phases, one epoch apart:
+//! Rebalancing moves a whole tenant — controller, trace stream, channel,
+//! telemetry — from the most-loaded shard to the least-loaded one. The
+//! move is two deterministic phases, one epoch apart:
 //!
 //! 1. **Retire** (end of epoch `E`): the tenant's slot leaves its source
 //!    shard. Its counter snapshot is taken and the admission conservation
@@ -47,8 +47,8 @@ pub struct MigrationRecord {
 
 /// A tenant in transit between shards.
 #[derive(Debug)]
-struct Parked {
-    slot: TenantSlot,
+struct Parked<'s> {
+    slot: TenantSlot<'s>,
     snapshot: ControllerReport,
     record: MigrationRecord,
 }
@@ -56,8 +56,8 @@ struct Parked {
 /// The ownership layer: tracks the (at most one) tenant in transit and
 /// the completed migration history.
 #[derive(Debug, Default)]
-pub struct HandoffLayer {
-    parked: Option<Parked>,
+pub struct HandoffLayer<'s> {
+    parked: Option<Parked<'s>>,
     records: Vec<MigrationRecord>,
 }
 
@@ -74,7 +74,7 @@ fn check_conservation(
     }
 }
 
-impl HandoffLayer {
+impl<'s> HandoffLayer<'s> {
     /// Whether no tenant is currently in transit.
     #[must_use]
     pub fn idle(&self) -> bool {
@@ -106,7 +106,7 @@ impl HandoffLayer {
     /// counters do not balance.
     pub fn initiate(
         &mut self,
-        shards: &mut [Shard],
+        shards: &mut [Shard<'s>],
         epoch: u64,
         epoch_len: f64,
     ) -> Result<bool, FleetError> {
@@ -188,7 +188,7 @@ impl HandoffLayer {
     /// parked or no longer balance.
     pub fn install_due(
         &mut self,
-        shards: &mut [Shard],
+        shards: &mut [Shard<'s>],
         epoch: u64,
     ) -> Result<Option<TenantId>, FleetError> {
         let Some(parked) = self.parked.take_if(|p| p.record.installed_epoch == epoch) else {

@@ -13,16 +13,20 @@
 //!   lazy churn stream (seeded via
 //!   [`tenant_seed`](nfv_workload::tenancy::tenant_seed)), its own
 //!   [`Controller`](nfv_controller::Controller).
-//! - **Channels** ([`EventChannel`]) — bounded SPSC-style buffers between
-//!   the trace streams and the shards. The serial *pump* phase fills
-//!   them (shard order, tenant order, stalling on a full channel); the
-//!   parallel *drain* phase empties them. Backpressure is part of the
-//!   deterministic schedule, not an accident of timing.
-//! - **Shards** ([`Shard`]) — disjoint tenant sets drained concurrently
-//!   on the pool, results folded in shard-id order, so thread count never
-//!   changes an outcome. Every drain is supervised: each shard task runs
-//!   under [`nfv_parallel::catch_task`], so a panicking worker's shard
-//!   survives the unwind.
+//! - **Channels** ([`EventChannel`]) — bounded buffers between each
+//!   tenant's trace stream and its controller. A backpressure round pumps
+//!   the stream until the channel is full or the epoch boundary is
+//!   reached, then drains the channel; a tenant's rounds depend on its
+//!   own stream alone, so backpressure is part of the deterministic
+//!   schedule, not an accident of timing — and the bound decides how many
+//!   rounds run, never what a tenant computes (an injected chaos
+//!   duplicate aside: it is lost on a full channel).
+//! - **Shards** ([`Shard`]) — disjoint tenant sets. Each epoch is one
+//!   supervised pool call in which every shard runs its own rounds —
+//!   stream generation, chaos logging and draining all on the pool —
+//!   with results folded in shard-id order, so thread count never changes
+//!   an outcome. Each shard task runs under [`nfv_parallel::catch_task`],
+//!   so a panicking worker's shard survives the unwind.
 //! - **Epochs** — the virtual clock advances in fixed steps; every event
 //!   with `time ≤ boundary` is pumped and drained (possibly over several
 //!   backpressure rounds) before the fleet crosses the boundary.
@@ -42,11 +46,12 @@
 //! each installed tenant is checkpointed ([`TenantSlot`] →
 //! [`SlotCheckpoint`]: controller snapshot + a mark on the tenant's
 //! telemetry session + processed count) and every event pumped during
-//! the epoch is recorded in a per-tenant replay log. A worker panic
-//! mid-drain of a faulted epoch is contained by the supervised drain;
-//! the poisoned shard is restored from its checkpoints and caught up by
-//! replaying its logs (an epoch without checkpoints has nothing to
-//! restore, so a panic there is a [`FleetError::Pool`]).
+//! the epoch is recorded in its slot's replay log. A worker panic
+//! mid-epoch is contained by the supervised pool call; the poisoned
+//! shard is restored on the main thread from its checkpoints, caught up
+//! by replaying its logs, and finishes its rounds in a follow-up pool
+//! call (an epoch without checkpoints has nothing to restore, so a panic
+//! there is a [`FleetError::Pool`]).
 //! Channel drops/duplicates, tenant crashes, and injected conservation
 //! corruption are repaired at the epoch boundary the same way — restore
 //! plus full-epoch replay — so a recoverable faulted run produces a
@@ -73,12 +78,13 @@ use nfv_telemetry::{
     EventKind, Phase, PhaseProfile, Postmortem, Registry, SpanTree, Stopwatch, Telemetry,
     TelemetryArtifacts, TickSeries, FLIGHT_RECORDER_WINDOW,
 };
-use nfv_workload::churn::{ChurnStream, ChurnTraceBuilder, TimedEvent};
+use nfv_workload::churn::ChurnTraceBuilder;
 use nfv_workload::tenancy::tenant_seed;
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy, TenantId, WorkloadError};
 
 pub use channel::EventChannel;
 pub use handoff::{HandoffLayer, MigrationRecord};
+use shard::ChannelFaults;
 pub use shard::{Shard, SlotCheckpoint, TenantSlot};
 
 // Re-exported so fleet callers can build fault plans without a separate
@@ -103,12 +109,12 @@ pub enum FleetError {
         /// Which handoff phase detected it.
         phase: &'static str,
     },
-    /// A tenant's channel stopped making progress for an entire epoch
-    /// round — nothing pumped, nothing drained, events still buffered —
-    /// so the epoch loop would spin forever.
+    /// A shard's backpressure round moved nothing — nothing pumped,
+    /// nothing drained, events still buffered — so its rounds would spin
+    /// forever.
     PumpStalled {
         /// The first tenant (shard order, tenant order) holding
-        /// undrained events.
+        /// undrained events: on the lowest stalled shard.
         tenant: TenantId,
         /// The epoch that stalled.
         epoch: u64,
@@ -204,7 +210,8 @@ pub struct FleetSpec {
     pub slo_latency: f64,
     /// The controller configuration every tenant runs.
     pub controller: ControllerConfig,
-    /// Worker threads for the drain phase (`0` = process default).
+    /// Worker threads the shards' epoch work runs on (`0` = process
+    /// default).
     pub threads: usize,
 }
 
@@ -429,10 +436,11 @@ pub struct FleetOutcome {
     /// tenant journal stays byte-identical under recoverable faults.
     pub chaos_artifacts: TelemetryArtifacts,
     /// The causal span tree of the run's wall-clock: fleet run → epoch →
-    /// {pump, drain(shard), handoff, checkpoint, restore, quarantine},
-    /// plus per-shard controller phase attribution. Structure is
-    /// deterministic; durations are wall-clock. Empty with observability
-    /// disabled.
+    /// {handoff, checkpoint, restore, quarantine, drain shard N → pump},
+    /// where `drain shard N` is the shard's whole epoch work and its
+    /// `pump` child the part spent pumping, plus per-shard controller
+    /// phase attribution. Structure is deterministic; durations are
+    /// wall-clock. Empty with observability disabled.
     pub spans: SpanTree,
     /// The deterministic metrics registry, merged in shard-id order
     /// (quarantined tenants last). Byte-identical dumps at any thread
@@ -539,76 +547,6 @@ fn observe_tenant(
     }
 }
 
-/// Per-epoch chaos bookkeeping threaded through the pump: the epoch's
-/// channel-fault targets, per-tenant pump counters (the `nth` a drop or
-/// duplicate keys on), and the replay logs of the *true* pumped events —
-/// what the controller would have seen with a perfect channel, and what
-/// recovery replays.
-struct PumpChaos<'a> {
-    drop_at: &'a [Option<u64>],
-    dup_at: &'a [Option<u64>],
-    pumped: &'a mut [u64],
-    logs: &'a mut [Vec<TimedEvent>],
-}
-
-/// Pulls events with `time ≤ boundary` from each installed tenant's
-/// stream into its channel: shard order, tenant order, stopping per
-/// tenant at a full channel (the head event parks in `pending`). Parked
-/// tenants have no slot and are skipped — their streams stall until
-/// re-install. Returns the number of events pumped.
-///
-/// With a chaos context, every pumped event is logged first; a targeted
-/// event is then dropped before the channel or pushed twice (the
-/// duplicate is lost if the channel has no room — deterministic either
-/// way). A dropped event still counts as pumped: the stream advanced.
-fn pump(
-    streams: &mut [ChurnStream<'_>],
-    pending: &mut [Option<TimedEvent>],
-    shards: &mut [Shard],
-    boundary: f64,
-    mut chaos: Option<&mut PumpChaos<'_>>,
-) -> u64 {
-    let mut pumped = 0;
-    for shard in shards.iter_mut() {
-        for slot in shard.slots_mut() {
-            let t = slot.tenant().as_usize();
-            while !slot.channel_full() {
-                let event = match pending[t].take() {
-                    Some(event) => event,
-                    None => match streams[t].next() {
-                        Some(event) => event,
-                        None => break,
-                    },
-                };
-                if event.time() > boundary {
-                    pending[t] = Some(event);
-                    break;
-                }
-                pumped += 1;
-                match chaos.as_deref_mut() {
-                    None => slot.push(event),
-                    Some(chaos) => {
-                        let nth = chaos.pumped[t];
-                        chaos.pumped[t] += 1;
-                        chaos.logs[t].push(event.clone());
-                        if chaos.drop_at[t] == Some(nth) {
-                            continue;
-                        }
-                        let duplicate = (chaos.dup_at[t] == Some(nth)).then(|| event.clone());
-                        slot.push(event);
-                        if let Some(duplicate) = duplicate {
-                            if !slot.channel_full() {
-                                slot.push(duplicate);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    pumped
-}
-
 /// Sums the fleet-wide counters: every installed tenant, the parked
 /// one, and the frozen reports of quarantined tenants — shard order then
 /// tenant order (all-integer, so order only matters for determinism of
@@ -702,7 +640,10 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 .map_err(FleetError::Workload)
         })
         .collect::<Result<_, _>>()?;
-    let mut streams: Vec<ChurnStream<'_>> = Vec::with_capacity(spec.tenants);
+    // Every stream is built before any controller: building each beside
+    // its controller interleaves their long-lived allocations on the heap
+    // and measurably raises the run's peak resident memory.
+    let mut streams = Vec::with_capacity(spec.tenants);
     for (t, scenario) in scenarios.iter().enumerate() {
         streams.push(
             ChurnTraceBuilder::new()
@@ -715,12 +656,12 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 .map_err(FleetError::Workload)?,
         );
     }
-    let mut pending: Vec<Option<TimedEvent>> = (0..spec.tenants).map(|_| None).collect();
-    let mut shards: Vec<Shard> = (0..spec.shards).map(Shard::new).collect();
-    for (t, scenario) in scenarios.iter().enumerate() {
+    let mut shards: Vec<Shard<'_>> = (0..spec.shards).map(Shard::new).collect();
+    for ((t, scenario), stream) in scenarios.iter().enumerate().zip(streams) {
         shards[t % spec.shards].install(TenantSlot::new(
             TenantId::new(t as u32),
             Controller::new(scenario, spec.controller),
+            stream,
             EventChannel::new(spec.channel_capacity),
             Telemetry::enabled(),
         ));
@@ -741,8 +682,6 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     let mut quarantines: Vec<QuarantineRecord> = Vec::new();
     let mut quarantined_artifacts: Vec<TelemetryArtifacts> = Vec::new();
     let mut checkpoints: Vec<Option<SlotCheckpoint>> = (0..spec.tenants).map(|_| None).collect();
-    let mut logs: Vec<Vec<TimedEvent>> = (0..spec.tenants).map(|_| Vec::new()).collect();
-    let mut epoch_pumped: Vec<u64> = vec![0; spec.tenants];
     for epoch in 0..epochs {
         let epoch_watch = obs.then(Stopwatch::start);
         let epoch_span = root_span.map(|root| spans.child(root, format!("epoch {epoch}"), 0.0));
@@ -760,8 +699,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
         // Faults naming tenants that are parked (in transit) or already
         // quarantined never fire: a parked tenant pumps and drains
         // nothing, and a quarantined one has no slot.
-        let mut drop_at: Vec<Option<u64>> = vec![None; spec.tenants];
-        let mut dup_at: Vec<Option<u64>> = vec![None; spec.tenants];
+        let mut channel_faults = vec![ChannelFaults::default(); spec.tenants];
         let mut crash: Vec<bool> = vec![false; spec.tenants];
         let mut corrupt_live: Vec<bool> = vec![false; spec.tenants];
         let mut corrupt_cp: Vec<bool> = vec![false; spec.tenants];
@@ -776,10 +714,10 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                     crash[tenant as usize] = true;
                 }
                 FaultKind::ChannelDrop { tenant, nth } if (tenant as usize) < spec.tenants => {
-                    drop_at[tenant as usize] = Some(nth);
+                    channel_faults[tenant as usize].drop = Some(nth);
                 }
                 FaultKind::ChannelDup { tenant, nth } if (tenant as usize) < spec.tenants => {
-                    dup_at[tenant as usize] = Some(nth);
+                    channel_faults[tenant as usize].dup = Some(nth);
                 }
                 FaultKind::CorruptState { tenant } if (tenant as usize) < spec.tenants => {
                     corrupt_live[tenant as usize] = true;
@@ -796,13 +734,9 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
 
         // Checkpoint every installed tenant at the faulted epoch's start
         // (after install_due, so a freshly installed tenant is covered)
-        // and reset the epoch's replay logs and pump counters.
+        // and arm it: a fresh replay log, its channel faults, its wedge.
         if epoch_faulted {
             let checkpoint_watch = obs.then(Stopwatch::start);
-            for (t, log) in logs.iter_mut().enumerate() {
-                log.clear();
-                epoch_pumped[t] = 0;
-            }
             for shard in &mut shards {
                 let shard_id = shard.id() as u64;
                 let tenants = shard.tenants() as u64;
@@ -810,8 +744,8 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                     let t = slot.tenant().as_usize();
                     checkpoints[t] = Some(slot.checkpoint());
                     recovery.checkpoints += 1;
+                    slot.arm(channel_faults[t], wedge[t]);
                     if wedge[t] {
-                        slot.set_wedged(true);
                         recovery.faults_injected += 1;
                     }
                 }
@@ -846,69 +780,39 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
         } else {
             (epoch + 1) as f64 * spec.epoch
         };
-        // Round-grained phase timings batch into these locals and flush
-        // into the epoch span once the epoch settles: `accumulate` scans
-        // the span's children by label (and the drain labels are
-        // formatted strings), so per-round calls were a measurable slice
-        // of the plane's overhead at fleet scale.
-        let mut pump_seconds = 0.0;
-        let mut drain_seconds = vec![0.0; shards.len()];
-        loop {
-            let pump_watch = obs.then(Stopwatch::start);
-            let pumped = {
-                let mut ctx = PumpChaos {
-                    drop_at: &drop_at,
-                    dup_at: &dup_at,
-                    pumped: &mut epoch_pumped,
-                    logs: &mut logs,
-                };
-                pump(
-                    &mut streams,
-                    &mut pending,
-                    &mut shards,
-                    boundary,
-                    epoch_faulted.then_some(&mut ctx),
-                )
-            };
-            if let Some(watch) = pump_watch {
-                pump_seconds += watch.elapsed_seconds();
-            }
-            let buffered: usize = shards.iter().map(Shard::buffered).sum();
-            if pumped == 0 && buffered == 0 {
-                break;
-            }
-            // Supervised drain: each worker's panic is contained by
-            // `catch_task`, so the shards (borrowed mutably through the
-            // pool) survive the unwind mid-drain.
-            let inject: Vec<Option<u64>> = shards
-                .iter()
-                .map(|s| {
-                    (panic_pending.contains(&s.id()) && s.buffered() > 0)
-                        .then(|| (s.buffered() as u64).div_ceil(2))
-                })
-                .collect();
+        // One supervised pool call runs every shard's backpressure rounds:
+        // each worker's panic is contained by `catch_task`, so the shards
+        // (borrowed mutably through the pool) survive the unwind. A shard
+        // whose worker died is restored here on the main thread and
+        // finishes its rounds in a follow-up call.
+        let mut shard_seconds = vec![(0.0, 0.0); shards.len()];
+        let mut stall: Option<(usize, TenantId)> = None;
+        let mut due: Vec<usize> = (0..shards.len()).collect();
+        while !due.is_empty() {
             let results = nfv_parallel::par_map_indexed(
                 threads,
-                shards.iter_mut().collect::<Vec<&mut Shard>>(),
-                |i, shard: &mut Shard| {
-                    catch_task(i, || {
-                        if let Some(limit) = inject[i] {
-                            shard.drain_upto(limit);
-                            panic!("injected shard-worker panic");
-                        }
-                        let watch = obs.then(Stopwatch::start);
-                        let drained = shard.drain_round();
-                        (drained, watch.map_or(0.0, |w| w.elapsed_seconds()))
-                    })
+                shards
+                    .iter_mut()
+                    .filter(|s| due.contains(&s.id()))
+                    .collect::<Vec<&mut Shard>>(),
+                |_, shard: &mut Shard| {
+                    let id = shard.id();
+                    let inject = panic_pending.contains(&id);
+                    catch_task(id, || shard.rounds(boundary, inject, obs))
                 },
             )
             .map_err(FleetError::Pool)?;
-            let mut drained = 0;
-            for (i, result) in results.into_iter().enumerate() {
+            let mut restored = Vec::new();
+            for (&i, result) in due.iter().zip(results) {
                 let panic = match result {
-                    Ok((n, seconds)) => {
-                        drained += n;
-                        drain_seconds[i] += seconds;
+                    Ok(rounds) => {
+                        shard_seconds[i].0 += rounds.seconds;
+                        shard_seconds[i].1 += rounds.pump_seconds;
+                        if let Some(tenant) = rounds.stalled {
+                            if stall.is_none_or(|(s, _)| i < s) {
+                                stall = Some((i, tenant));
+                            }
+                        }
                         continue;
                     }
                     Err(panic) => panic,
@@ -918,9 +822,10 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 if !epoch_faulted {
                     return Err(FleetError::Pool(panic));
                 }
-                // The worker died mid-drain: restore every tenant of the
+                // The worker died mid-epoch: restore every tenant of the
                 // poisoned shard from its epoch checkpoint, clear its
-                // channels, and replay the epoch's pumped events so far.
+                // channels, and replay the epoch's pumped events so far;
+                // the shard's remaining rounds run in the next call.
                 let restore_watch = obs.then(Stopwatch::start);
                 panic_pending.retain(|&s| s != i);
                 recovery.faults_injected += 1;
@@ -939,7 +844,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 for slot in shard.slots_mut() {
                     let t = slot.tenant().as_usize();
                     if let Some(checkpoint) = checkpoints[t].as_ref() {
-                        let (n, d) = slot.recover(checkpoint, &logs[t], epoch)?;
+                        let (n, d) = slot.recover(checkpoint, epoch)?;
                         replayed += n;
                         delta += d;
                     }
@@ -951,29 +856,25 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                     shard: i as u64,
                     replayed,
                 });
-                // Replay is forward progress for the stall guard: the
-                // shard's channels are empty now.
-                drained += replayed;
                 if let (Some(watch), Some(span)) = (restore_watch, epoch_span) {
                     spans.accumulate(span, "restore", watch.elapsed_seconds());
                 }
+                restored.push(i);
             }
-            if pumped == 0 && drained == 0 {
-                // Nothing moved this round but events are still
-                // buffered: the epoch loop would spin forever. Surface
-                // the first stuck tenant instead.
-                let tenant = shards
-                    .iter()
-                    .flat_map(Shard::slots)
-                    .find(|slot| slot.buffered() > 0)
-                    .map_or(TenantId::new(0), TenantSlot::tenant);
-                return Err(FleetError::PumpStalled { tenant, epoch });
-            }
+            due = restored;
         }
+        if let Some((_, tenant)) = stall {
+            // A shard's round moved nothing with events still buffered:
+            // the lowest such shard's first stuck tenant.
+            return Err(FleetError::PumpStalled { tenant, epoch });
+        }
+        // Each shard's epoch work is one child, its pumping one child of
+        // that: the shards run concurrently, so no phase of theirs sits
+        // beside the epoch's serial phases.
         if let Some(span) = epoch_span {
-            spans.accumulate(span, "pump", pump_seconds);
-            for (i, seconds) in drain_seconds.iter().enumerate() {
-                spans.accumulate(span, &format!("drain shard {i}"), *seconds);
+            for (i, (total, pump)) in shard_seconds.into_iter().enumerate() {
+                let drain = spans.child(span, format!("drain shard {i}"), total);
+                spans.child(drain, "pump", pump);
             }
         }
 
@@ -984,8 +885,6 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
         if epoch_faulted {
             let sweep_watch = obs.then(Stopwatch::start);
             let mut quarantine_seconds = 0.0;
-            let drop_fired = |t: usize| drop_at[t].is_some_and(|nth| epoch_pumped[t] > nth);
-            let dup_fired = |t: usize| dup_at[t].is_some_and(|nth| epoch_pumped[t] > nth);
             for (si, shard) in shards.iter_mut().enumerate() {
                 let mut delta = 0i64;
                 let mut replayed = 0u64;
@@ -993,7 +892,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                 let mut to_quarantine: Vec<(TenantId, &'static str)> = Vec::new();
                 for slot in shard.slots_mut() {
                     let t = slot.tenant().as_usize();
-                    slot.set_wedged(false);
+                    let (drop_fired, dup_fired) = slot.disarm();
                     if corrupt_live[t] || corrupt_cp[t] {
                         slot.corrupt_conservation();
                         recovery.faults_injected += 1;
@@ -1021,7 +920,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                             tenant: t as u64,
                         });
                     }
-                    if drop_fired(t) {
+                    if drop_fired {
                         recovery.faults_injected += 1;
                         chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
                             cause: "channel_drop".into(),
@@ -1029,7 +928,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                             tenant: t as u64,
                         });
                     }
-                    if dup_fired(t) {
+                    if dup_fired {
                         recovery.faults_injected += 1;
                         chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
                             cause: "channel_dup".into(),
@@ -1040,7 +939,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                     let report = slot.report();
                     let conserved = report.admitted + report.retry_admitted
                         == report.active + report.departed + report.shed;
-                    let needs_recovery = crash[t] || drop_fired(t) || dup_fired(t) || !conserved;
+                    let needs_recovery = crash[t] || drop_fired || dup_fired || !conserved;
                     if !needs_recovery {
                         continue;
                     }
@@ -1051,7 +950,7 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                         to_quarantine.push((slot.tenant(), "corrupt_checkpoint"));
                         continue;
                     }
-                    let (n, d) = slot.recover(checkpoint, &logs[t], epoch)?;
+                    let (n, d) = slot.recover(checkpoint, epoch)?;
                     replayed += n;
                     delta += d;
                     restored_any = true;

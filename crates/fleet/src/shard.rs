@@ -1,15 +1,17 @@
 //! Shards: the unit of parallelism in the fleet loop.
 //!
 //! A shard owns a disjoint set of tenants — each tenant an independent
-//! controller plus its bounded event channel and telemetry session — and
-//! drains them in tenant-id order during the parallel phase of every
-//! epoch round. Shards never share state, so running them on the
+//! controller fed by its own lazy trace stream through a bounded event
+//! channel, with its own telemetry session — and runs their share of
+//! every epoch as one pool task: backpressure rounds that pump each
+//! tenant's stream into its channel and then drain every channel, both in
+//! tenant-id order. Shards never share state, so running them on the
 //! `nfv-parallel` pool (results folded in shard-id order) is bit-identical
 //! to running them serially.
 
 use nfv_controller::{Controller, ControllerReport, ControllerSnapshot};
-use nfv_telemetry::{Telemetry, TelemetryArtifacts, TelemetryMark};
-use nfv_workload::churn::TimedEvent;
+use nfv_telemetry::{Stopwatch, Telemetry, TelemetryArtifacts, TelemetryMark};
+use nfv_workload::churn::{ChurnStream, TimedEvent};
 use nfv_workload::TenantId;
 
 use crate::channel::EventChannel;
@@ -32,36 +34,66 @@ pub struct SlotCheckpoint {
     pub(crate) valid: bool,
 }
 
-/// One tenant living inside a shard: its controller, its event channel,
-/// its telemetry session, and its cumulative processed-event count.
+/// The channel faults armed on one tenant for one faulted epoch, each
+/// keyed on the index of the pumped event it hits.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChannelFaults {
+    /// This pumped event is dropped before the channel.
+    pub(crate) drop: Option<u64>,
+    /// This pumped event is pushed twice; the copy is lost when the
+    /// channel has no room for it.
+    pub(crate) dup: Option<u64>,
+}
+
+/// One tenant living inside a shard: its controller, its trace stream
+/// and event channel, its telemetry session, and its cumulative
+/// processed-event count.
 #[derive(Debug)]
-pub struct TenantSlot {
+pub struct TenantSlot<'s> {
     tenant: TenantId,
     controller: Controller,
+    stream: ChurnStream<'s>,
+    /// The stream's next event, parked because it lies past the epoch
+    /// boundary or met a full channel.
+    head: Option<TimedEvent>,
     channel: EventChannel,
     telemetry: Telemetry,
     processed: u64,
     /// Chaos wedge: while set, drains skip this slot (its channel stops
     /// making progress), exercising the fleet's pump-stall detection.
     wedged: bool,
+    /// `Some` from a faulted epoch's checkpoint to its boundary sweep:
+    /// the slot then records every pumped event in `log`.
+    armed: Option<ChannelFaults>,
+    /// The events pumped since the faulted epoch's checkpoint, dropped
+    /// ones included, in pump order — what the controller would have
+    /// seen through a perfect channel, and what recovery replays. Its
+    /// length is the epoch's pump count, the index channel faults key on.
+    log: Vec<TimedEvent>,
 }
 
-impl TenantSlot {
-    /// Assembles a slot around an idle controller.
+impl<'s> TenantSlot<'s> {
+    /// Assembles a slot around an idle controller and the tenant's
+    /// unread trace stream.
     #[must_use]
     pub fn new(
         tenant: TenantId,
         controller: Controller,
+        stream: ChurnStream<'s>,
         channel: EventChannel,
         telemetry: Telemetry,
     ) -> Self {
         Self {
             tenant,
             controller,
+            stream,
+            head: None,
             channel,
             telemetry,
             processed: 0,
             wedged: false,
+            armed: None,
+            log: Vec::new(),
         }
     }
 
@@ -71,22 +103,10 @@ impl TenantSlot {
         self.tenant
     }
 
-    /// Whether the channel cannot take another event this round.
-    #[must_use]
-    pub fn channel_full(&self) -> bool {
-        self.channel.is_full()
-    }
-
     /// Buffered (pumped but not yet processed) events.
     #[must_use]
     pub fn buffered(&self) -> usize {
         self.channel.len()
-    }
-
-    /// Enqueues one event (the pump phase checked `channel_full`).
-    pub fn push(&mut self, event: TimedEvent) {
-        let pushed = self.channel.try_push(event).is_ok();
-        debug_assert!(pushed, "pump must respect the channel bound");
     }
 
     /// Events this tenant's controller has processed so far.
@@ -99,6 +119,52 @@ impl TenantSlot {
     #[must_use]
     pub fn report(&self) -> ControllerReport {
         self.controller.report()
+    }
+
+    /// Enqueues one event the caller found room for.
+    fn push(&mut self, event: TimedEvent) {
+        let pushed = self.channel.try_push(event).is_ok();
+        debug_assert!(pushed, "pump must respect the channel bound");
+    }
+
+    /// Pumps the stream into the channel, oldest first, until the
+    /// channel is full or the next event lies past `boundary` (it parks
+    /// as the head). Returns the number of events pumped.
+    ///
+    /// While armed, every pumped event is logged first; the armed drop
+    /// then never reaches the channel and the armed duplicate is pushed
+    /// twice, the copy lost if the channel has no room — deterministic
+    /// either way. A dropped event still counts as pumped: the stream
+    /// advanced.
+    fn pump(&mut self, boundary: f64) -> u64 {
+        let mut pumped = 0;
+        while !self.channel.is_full() {
+            let Some(event) = self.head.take().or_else(|| self.stream.next()) else {
+                break;
+            };
+            if event.time() > boundary {
+                self.head = Some(event);
+                break;
+            }
+            pumped += 1;
+            let Some(faults) = self.armed else {
+                self.push(event);
+                continue;
+            };
+            let nth = self.log.len() as u64;
+            self.log.push(event.clone());
+            if faults.drop == Some(nth) {
+                continue;
+            }
+            let duplicate = (faults.dup == Some(nth)).then(|| event.clone());
+            self.push(event);
+            if let Some(duplicate) = duplicate {
+                if !self.channel.is_full() {
+                    self.push(duplicate);
+                }
+            }
+        }
+        pumped
     }
 
     /// Drains one event from the channel into the controller; `false`
@@ -124,9 +190,25 @@ impl TenantSlot {
         drained
     }
 
-    /// Sets or clears the chaos wedge (see [`TenantSlot::wedged`]).
-    pub(crate) fn set_wedged(&mut self, wedged: bool) {
-        self.wedged = wedged;
+    /// Starts a faulted epoch on the slot: a fresh replay log records
+    /// every event pumped from here on, `faults` hit the pumped events
+    /// they name, and a `wedge` stops the slot's drains.
+    pub(crate) fn arm(&mut self, faults: ChannelFaults, wedge: bool) {
+        self.log.clear();
+        self.armed = Some(faults);
+        self.wedged = wedge;
+    }
+
+    /// Ends the faulted epoch at its boundary: recording stops and the
+    /// wedge lifts, while the log stays for the boundary's recovery.
+    /// Returns whether the armed drop and duplicate fired — whether the
+    /// event index each names was pumped.
+    pub(crate) fn disarm(&mut self) -> (bool, bool) {
+        self.wedged = false;
+        let pumped = self.log.len() as u64;
+        let fired = |nth: Option<u64>| nth.is_some_and(|nth| nth < pumped);
+        let faults = self.armed.take().unwrap_or_default();
+        (fired(faults.drop), fired(faults.dup))
     }
 
     /// Captures the slot's full recoverable state. The telemetry part is
@@ -144,10 +226,11 @@ impl TenantSlot {
 
     /// Rewinds the slot to a checkpoint — controller restored, telemetry
     /// rewound to the checkpoint's mark, processed count reset, the
-    /// channel cleared (its events are in the epoch's replay log), the
-    /// wedge lifted — then replays `log` straight into the controller to
-    /// catch up. Returns the events replayed and the change to the
-    /// processed count, which the shard's own counter must follow.
+    /// channel cleared (its events are in the replay log), the wedge
+    /// lifted — then replays the epoch's log straight into the controller
+    /// to catch up. The stream, its parked head and the log itself are
+    /// left as they are. Returns the events replayed and the change to
+    /// the processed count, which the shard's own counter must follow.
     ///
     /// # Errors
     ///
@@ -157,7 +240,6 @@ impl TenantSlot {
     pub(crate) fn recover(
         &mut self,
         checkpoint: &SlotCheckpoint,
-        log: &[TimedEvent],
         epoch: u64,
     ) -> Result<(u64, i64), FleetError> {
         debug_assert_eq!(
@@ -175,11 +257,12 @@ impl TenantSlot {
             .map_err(|_| failed())?;
         self.wedged = false;
         while self.channel.pop().is_some() {}
-        for event in log {
+        for event in &self.log {
             self.controller.ingest(event.clone(), &mut self.telemetry);
         }
-        self.processed = checkpoint.processed + log.len() as u64;
-        Ok((log.len() as u64, self.processed as i64 - before as i64))
+        let replayed = self.log.len() as u64;
+        self.processed = checkpoint.processed + replayed;
+        Ok((replayed, self.processed as i64 - before as i64))
     }
 
     /// Retires the slot through quarantine: its telemetry session rewinds
@@ -223,15 +306,28 @@ impl TenantSlot {
     }
 }
 
-/// A disjoint set of tenants drained together on one pool worker.
+/// What one shard's share of an epoch hands back to the fleet loop.
+#[derive(Debug, Default)]
+pub(crate) struct ShardRounds {
+    /// Wall-clock seconds of the whole call (0 when untimed).
+    pub(crate) seconds: f64,
+    /// Wall-clock seconds of it spent pumping (0 when untimed).
+    pub(crate) pump_seconds: f64,
+    /// The first tenant (tenant order) still holding events when a round
+    /// moved nothing — the epoch would spin forever on it.
+    pub(crate) stalled: Option<TenantId>,
+}
+
+/// A disjoint set of tenants pumped and drained together on one pool
+/// worker.
 #[derive(Debug)]
-pub struct Shard {
+pub struct Shard<'s> {
     id: usize,
-    slots: Vec<TenantSlot>,
+    slots: Vec<TenantSlot<'s>>,
     processed: u64,
 }
 
-impl Shard {
+impl<'s> Shard<'s> {
     /// Creates an empty shard.
     #[must_use]
     pub fn new(id: usize) -> Self {
@@ -254,14 +350,14 @@ impl Shard {
         self.slots.len()
     }
 
-    /// The owned slots in tenant-id order (the pump iterates these).
-    pub fn slots_mut(&mut self) -> &mut [TenantSlot] {
+    /// The owned slots in tenant-id order.
+    pub fn slots_mut(&mut self) -> &mut [TenantSlot<'s>] {
         &mut self.slots
     }
 
     /// The owned slots in tenant-id order.
     #[must_use]
-    pub fn slots(&self) -> &[TenantSlot] {
+    pub fn slots(&self) -> &[TenantSlot<'s>] {
         &self.slots
     }
 
@@ -278,34 +374,68 @@ impl Shard {
         self.processed
     }
 
-    /// Installs a tenant, keeping the slots sorted by tenant id so drain
-    /// order is a pure function of ownership, not arrival order.
-    pub fn install(&mut self, slot: TenantSlot) {
+    /// Installs a tenant, keeping the slots sorted by tenant id so pump
+    /// and drain order are a pure function of ownership, not arrival
+    /// order.
+    pub fn install(&mut self, slot: TenantSlot<'s>) {
         let at = self.slots.partition_point(|s| s.tenant() < slot.tenant());
         self.slots.insert(at, slot);
     }
 
     /// Removes and returns a tenant's slot (`None` if not owned here).
-    pub fn retire(&mut self, tenant: TenantId) -> Option<TenantSlot> {
+    pub fn retire(&mut self, tenant: TenantId) -> Option<TenantSlot<'s>> {
         let at = self.slots.iter().position(|s| s.tenant() == tenant)?;
         Some(self.slots.remove(at))
     }
 
-    /// One drain round: every owned channel emptied into its controller,
-    /// tenant-id order. Returns the number of events processed.
-    pub fn drain_round(&mut self) -> u64 {
-        let mut drained = 0;
-        for slot in &mut self.slots {
-            drained += slot.drain();
+    /// Runs the shard's backpressure rounds up to `boundary`. Each round
+    /// pumps every slot until its channel is full or its stream passes
+    /// the boundary, then drains every channel, tenant-id order both
+    /// times; the rounds end with the first one that pumps nothing and
+    /// finds nothing buffered, or that moves nothing with events still
+    /// buffered (a stall, reported rather than spun on).
+    ///
+    /// With `inject_panic`, the first round that buffers events — always
+    /// the first round, since every channel starts the epoch empty —
+    /// drains half of them, rounded up, and panics: the worker death the
+    /// fleet's supervised pool call contains and recovers from. With
+    /// `timed`, the call and its pump phases are timed.
+    pub(crate) fn rounds(&mut self, boundary: f64, inject_panic: bool, timed: bool) -> ShardRounds {
+        let watch = timed.then(Stopwatch::start);
+        let mut out = ShardRounds::default();
+        loop {
+            let pump_watch = timed.then(Stopwatch::start);
+            let pumped: u64 = self.slots.iter_mut().map(|s| s.pump(boundary)).sum();
+            if let Some(watch) = pump_watch {
+                out.pump_seconds += watch.elapsed_seconds();
+            }
+            let buffered = self.buffered();
+            if pumped == 0 && buffered == 0 {
+                break;
+            }
+            if inject_panic {
+                self.drain_upto((buffered as u64).div_ceil(2));
+                panic!("injected shard-worker panic");
+            }
+            let drained: u64 = self.slots.iter_mut().map(TenantSlot::drain).sum();
+            self.processed += drained;
+            if pumped == 0 && drained == 0 {
+                out.stalled = self
+                    .slots
+                    .iter()
+                    .find(|slot| slot.buffered() > 0)
+                    .map(TenantSlot::tenant);
+                break;
+            }
         }
-        self.processed += drained;
-        drained
+        out.seconds = watch.map_or(0.0, |w| w.elapsed_seconds());
+        out
     }
 
     /// Drains at most `limit` events (tenant-id order, oldest first) and
     /// stops — the half-finished round an injected worker panic leaves
-    /// behind. Returns the number of events processed.
-    pub(crate) fn drain_upto(&mut self, limit: u64) -> u64 {
+    /// behind.
+    fn drain_upto(&mut self, limit: u64) {
         let mut drained = 0;
         for slot in &mut self.slots {
             while drained < limit && slot.drain_one() {
@@ -316,7 +446,6 @@ impl Shard {
             }
         }
         self.processed += drained;
-        drained
     }
 
     /// Re-aligns the shard's cumulative processed counter after a
@@ -345,21 +474,33 @@ mod tests {
     use super::*;
     use nfv_controller::ControllerConfig;
     use nfv_workload::churn::{ChurnEvent, ChurnTraceBuilder};
-    use nfv_workload::{ScenarioBuilder, ServiceRatePolicy};
+    use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy};
+
+    fn scenario() -> Scenario {
+        ScenarioBuilder::new()
+            .vnfs(3)
+            .requests(10)
+            .service_rate_policy(ServiceRatePolicy::ScaledToLoad {
+                target_utilization: 0.5,
+            })
+            .seed(6)
+            .build()
+            .unwrap()
+    }
+
+    fn builder() -> ChurnTraceBuilder {
+        ChurnTraceBuilder::new().horizon(5.0)
+    }
 
     #[test]
     fn install_keeps_tenant_id_order_and_retire_finds_by_id() {
-        let scenario = ScenarioBuilder::new()
-            .vnfs(2)
-            .requests(4)
-            .seed(5)
-            .build()
-            .unwrap();
+        let scenario = scenario();
         let mut shard = Shard::new(0);
         for t in [3u32, 0, 2] {
             shard.install(TenantSlot::new(
                 TenantId::new(t),
                 Controller::new(&scenario, ControllerConfig::online_only()),
+                builder().stream(&scenario).unwrap(),
                 EventChannel::new(4),
                 Telemetry::disabled(),
             ));
@@ -372,45 +513,32 @@ mod tests {
     }
 
     #[test]
-    fn drain_round_replays_buffered_events_in_order() {
-        let scenario = ScenarioBuilder::new()
-            .vnfs(3)
-            .requests(10)
-            .service_rate_policy(ServiceRatePolicy::ScaledToLoad {
-                target_utilization: 0.5,
-            })
-            .seed(6)
-            .build()
-            .unwrap();
-        let trace = ChurnTraceBuilder::new()
-            .horizon(5.0)
-            .build(&scenario)
-            .unwrap();
+    fn rounds_feed_the_controller_its_stream_in_order() {
+        let scenario = scenario();
+        let trace = builder().build(&scenario).unwrap();
         // Oracle: a controller fed the trace directly.
         let mut direct = Controller::new(&scenario, ControllerConfig::online_only());
         let mut direct_tel = Telemetry::enabled();
         for event in trace.events() {
             direct.handle_traced(event, &mut direct_tel);
         }
-        // Subject: the same events through a channel + drain rounds.
+        // Subject: the same stream through a 3-slot channel, over two
+        // boundaries so the head parks once.
         let mut shard = Shard::new(0);
         shard.install(TenantSlot::new(
             TenantId::new(0),
             Controller::new(&scenario, ControllerConfig::online_only()),
+            builder().stream(&scenario).unwrap(),
             EventChannel::new(3),
             Telemetry::enabled(),
         ));
-        let mut events = trace.events().iter().cloned().peekable();
-        while events.peek().is_some() {
-            {
-                let slot = &mut shard.slots_mut()[0];
-                while !slot.channel_full() {
-                    let Some(event) = events.next() else { break };
-                    slot.push(event);
-                }
-            }
-            shard.drain_round();
-        }
+        let half = trace.horizon() / 2.0;
+        let first = shard.rounds(half, false, false);
+        assert!(first.stalled.is_none());
+        let before_half = trace.events().iter().filter(|e| e.time() <= half).count();
+        assert_eq!(shard.processed(), before_half as u64);
+        assert_eq!(shard.buffered(), 0, "rounds end with every channel empty");
+        shard.rounds(f64::MAX, false, false);
         assert_eq!(shard.processed(), trace.len() as u64);
         let arrival_count = trace
             .events()
@@ -426,5 +554,36 @@ mod tests {
         let direct_journal = direct_tel.finish().journal_jsonl();
         assert!(!direct_journal.is_empty());
         assert_eq!(artifacts.journal_jsonl(), direct_journal);
+    }
+
+    #[test]
+    fn a_wedged_slot_stalls_its_shard_while_others_finish() {
+        let scenario = scenario();
+        let mut shard = Shard::new(0);
+        for t in 0..3u32 {
+            shard.install(TenantSlot::new(
+                TenantId::new(t),
+                Controller::new(&scenario, ControllerConfig::online_only()),
+                builder().stream(&scenario).unwrap(),
+                EventChannel::new(2),
+                Telemetry::disabled(),
+            ));
+        }
+        shard.slots_mut()[1].arm(ChannelFaults::default(), true);
+        let rounds = shard.rounds(f64::MAX, false, false);
+        assert_eq!(rounds.stalled, Some(TenantId::new(1)));
+        let slots = shard.slots();
+        assert_eq!(
+            slots[0].processed(),
+            builder().build(&scenario).unwrap().len() as u64
+        );
+        assert_eq!(slots[1].processed(), 0);
+        assert_eq!(
+            slots[1].buffered(),
+            2,
+            "the wedged channel filled and stuck"
+        );
+        assert_eq!(slots[2].processed(), slots[0].processed());
+        assert_eq!(shard.slots_mut()[1].disarm(), (false, false));
     }
 }

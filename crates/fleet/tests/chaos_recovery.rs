@@ -10,7 +10,7 @@ use nfv_fleet::{
     run, run_with_faults, FaultKind, FaultPlan, FaultRates, FleetError, FleetOutcome, FleetSpec,
 };
 use nfv_parallel::derive_seed;
-use nfv_telemetry::{Telemetry, TelemetryArtifacts, FLIGHT_RECORDER_WINDOW};
+use nfv_telemetry::{EventKind, Telemetry, TelemetryArtifacts, FLIGHT_RECORDER_WINDOW};
 use nfv_workload::churn::ChurnTraceBuilder;
 use nfv_workload::tenancy::tenant_seed;
 use nfv_workload::{ScenarioBuilder, ServiceRatePolicy, TenantId};
@@ -258,6 +258,74 @@ fn wedged_drain_with_a_one_slot_channel_stalls_typed() {
             assert!(epoch <= 1, "stall detected in a wedged epoch, got {epoch}");
         }
         other => panic!("expected PumpStalled, got {other:?}"),
+    }
+}
+
+#[test]
+fn wedges_on_two_shards_stall_on_the_lower_shards_tenant() {
+    // In epoch 0 tenant 2 lives on shard 0 and tenant 1 on shard 1. With
+    // one-slot channels both wedged channels fill and stick, each on its
+    // own shard's rounds; the error names the first stuck tenant in shard
+    // order — tenant 2, although tenant 1 has the lower id.
+    let spec = FleetSpec {
+        channel_capacity: 1,
+        ..spec()
+    };
+    let plan = FaultPlan::none()
+        .with_fault(0, FaultKind::WedgeDrain { tenant: 1 })
+        .with_fault(0, FaultKind::WedgeDrain { tenant: 2 });
+    for threads in [1, 2] {
+        match run_with_faults(&FleetSpec { threads, ..spec }, &plan) {
+            Err(FleetError::PumpStalled { tenant, epoch }) => {
+                assert_eq!(
+                    (tenant, epoch),
+                    (TenantId::new(2), 0),
+                    "{threads} thread(s)"
+                );
+            }
+            other => panic!("expected PumpStalled, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_shard_panic_and_a_crash_on_that_shard_recover_byte_identically() {
+    // In epoch 1 shard 0 holds tenant 2 (tenant 0 is in transit). The
+    // panic restores shard 0 mid-epoch and its rounds resume in a
+    // follow-up pool call; the crash then restores tenant 2 at the
+    // boundary from the same checkpoint, replaying the whole epoch's log.
+    // Two-slot channels leave rounds for the follow-up call to run.
+    let spec = FleetSpec {
+        channel_capacity: 2,
+        ..spec()
+    };
+    let plan = FaultPlan::none()
+        .with_fault(1, FaultKind::ShardPanic { shard: 0 })
+        .with_fault(1, FaultKind::TenantCrash { tenant: 2 });
+    let baseline = run(&spec).unwrap();
+    for threads in [1, 2] {
+        let faulted = run_with_faults(&FleetSpec { threads, ..spec }, &plan).unwrap();
+        assert_eq!(faulted.recovery.shard_restores, 1, "the panic fired");
+        assert_eq!(faulted.recovery.tenant_restores, 1, "the crash fired");
+        let fired: Vec<(&str, u64, u64)> = faulted
+            .chaos_artifacts
+            .events
+            .iter()
+            .filter_map(|event| match &event.kind {
+                EventKind::FaultInjected {
+                    cause,
+                    shard,
+                    tenant,
+                } => Some((cause.as_str(), *shard, *tenant)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fired,
+            vec![("shard_panic", 0, 2), ("tenant_crash", 0, 2)],
+            "both faults land on shard 0, where tenant 2 lives"
+        );
+        assert_byte_identical(&faulted, &baseline);
     }
 }
 

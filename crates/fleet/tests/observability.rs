@@ -99,11 +99,31 @@ fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
             .iter()
             .map(|&c| spans.label(c))
             .collect();
-        assert!(labels.contains(&"pump"), "every epoch pumps: {labels:?}");
         assert!(
-            labels.iter().any(|l| l.starts_with("drain shard ")),
-            "every epoch drains: {labels:?}"
+            !labels.contains(&"pump"),
+            "pumping runs inside the shards, not beside them: {labels:?}"
         );
+        let drains: Vec<_> = spans
+            .children(epoch)
+            .into_iter()
+            .filter(|&c| spans.label(c).starts_with("drain shard "))
+            .collect();
+        assert_eq!(
+            drains.len(),
+            spec().shards,
+            "every shard drains: {labels:?}"
+        );
+        // Every shard pumps its own tenants inside its drain call, so the
+        // pump time nests under the shard's span and never exceeds it.
+        for drain in drains {
+            let nested = spans.children(drain);
+            assert_eq!(nested.len(), 1, "one nested child per shard span");
+            assert_eq!(spans.label(nested[0]), "pump", "every shard pumps");
+            assert!(
+                spans.seconds(nested[0]) <= spans.seconds(drain),
+                "a shard's pump time fits inside its drain span"
+            );
+        }
     }
     assert_eq!(epochs_seen as u64, spec().epochs(), "one span per epoch");
     // The render carries the attribution table used by `figures profile`.
@@ -114,39 +134,42 @@ fn span_tree_phase_totals_sum_to_the_measured_epoch_time() {
 
 #[test]
 fn concurrent_shard_drains_fit_the_epoch_beside_the_serial_phases() {
-    // On two workers the `drain shard N` children overlap in time, so
-    // their sum may exceed the epoch; the serial phases plus the longest
-    // drain may not — the bound `figures profile` checks.
-    let outcome = run(&FleetSpec {
-        threads: 2,
-        ..spec()
-    })
-    .unwrap();
-    let spans = &outcome.spans;
-    let mut epochs_seen = 0;
-    for &root in &spans.roots() {
-        for epoch in spans.children(root) {
-            if !spans.label(epoch).starts_with("epoch ") {
-                continue;
-            }
-            epochs_seen += 1;
-            let (mut serial, mut longest_drain) = (0.0, 0.0f64);
-            for child in spans.children(epoch) {
-                let seconds = spans.seconds(child);
-                if spans.label(child).starts_with("drain shard ") {
-                    longest_drain = longest_drain.max(seconds);
-                } else {
-                    serial += seconds;
+    // On more than one worker the `drain shard N` children overlap in
+    // time, so their sum may exceed the epoch; the serial phases plus the
+    // longest drain may not — the bound `figures profile` checks. More
+    // shards than workers, so each worker runs several shards per epoch.
+    for threads in [2, 8] {
+        let spec = FleetSpec {
+            threads,
+            ..FleetSpec::sized(16, 8)
+        };
+        let outcome = run(&spec).unwrap();
+        let spans = &outcome.spans;
+        let mut epochs_seen = 0;
+        for &root in &spans.roots() {
+            for epoch in spans.children(root) {
+                if !spans.label(epoch).starts_with("epoch ") {
+                    continue;
                 }
+                epochs_seen += 1;
+                let (mut serial, mut longest_drain) = (0.0, 0.0f64);
+                for child in spans.children(epoch) {
+                    let seconds = spans.seconds(child);
+                    if spans.label(child).starts_with("drain shard ") {
+                        longest_drain = longest_drain.max(seconds);
+                    } else {
+                        serial += seconds;
+                    }
+                }
+                let overrun = serial + longest_drain - spans.seconds(epoch);
+                assert!(
+                    overrun <= 1e-6,
+                    "{threads} workers: epoch overrun {overrun:e}s: serial {serial}s + longest drain {longest_drain}s"
+                );
             }
-            let overrun = serial + longest_drain - spans.seconds(epoch);
-            assert!(
-                overrun <= 1e-6,
-                "epoch overrun {overrun:e}s: serial {serial}s + longest drain {longest_drain}s"
-            );
         }
+        assert_eq!(epochs_seen as u64, spec.epochs(), "one span per epoch");
     }
-    assert_eq!(epochs_seen as u64, spec().epochs(), "one span per epoch");
 }
 
 #[test]
