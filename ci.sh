@@ -10,6 +10,9 @@ cargo fmt --check
 echo "== cargo clippy (workspace, all targets, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (workspace, deny warnings: no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Each test target runs once, here: the determinism audit, the panic-site
 # budget, thread invariance at 1/2/8 threads, the byte-identity goldens
 # (results/golden/ and the results/ exports), node failure, the ledger and

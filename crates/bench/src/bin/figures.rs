@@ -330,20 +330,6 @@ fn main() -> ExitCode {
     if let Some(threads) = options.threads {
         set_default_threads(threads);
     }
-    // The chaos figure injects shard-worker panics that the supervised
-    // drain catches and repairs; the default hook would still print a
-    // backtrace per injection. Silence exactly those and delegate
-    // everything else untouched.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains("injected shard-worker panic"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
     if let Some(dir) = &options.csv_dir {
         if let Err(err) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create csv directory {}: {err}", dir.display());

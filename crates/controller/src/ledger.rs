@@ -197,7 +197,7 @@ pub struct ControllerState {
     slabs: Vec<VnfSlab>,
 }
 
-/// Like [`VnfSlab`]'s: `clone` as derived, `clone_from` reusing the
+/// Like `VnfSlab`'s: `clone` as derived, `clone_from` reusing the
 /// target's vectors (`Controller::restore` copies a snapshot's ledger
 /// this way).
 impl Clone for ControllerState {

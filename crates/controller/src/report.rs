@@ -101,6 +101,13 @@ impl ControllerReport {
         (self.rejected + self.shed).saturating_sub(self.retry_admitted)
     }
 
+    /// Whether the admission conservation law holds: every admission,
+    /// first offer or retry, is still active, departed, or shed.
+    #[must_use]
+    pub fn conserves(&self) -> bool {
+        self.admitted + self.retry_admitted == self.active + self.departed + self.shed
+    }
+
     /// Fraction of arrivals refused, in `[0, 1]`; 0 when nothing arrived.
     #[must_use]
     pub fn rejection_rate(&self) -> f64 {

@@ -18,8 +18,8 @@ struct Entry {
     request: Request,
 }
 
-/// Why [`RetryQueue::schedule`] refused an entrant. The request is then
-/// abandoned for good.
+/// Why the retry queue refused an entrant. The request is then abandoned
+/// for good.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RetryRefusal {

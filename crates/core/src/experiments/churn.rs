@@ -9,16 +9,19 @@
 //! * **online-only** — least-loaded dispatch with strict admission
 //!   control, never migrating;
 //! * **periodic-reopt** — the same dispatch, plus a bounded RCKK re-balance
-//!   on every tick ([`ReoptConfig::bounded`]: hysteresis on the predicted
-//!   latency gain, a per-tick migration budget);
+//!   on every tick
+//!   ([`ReoptConfig::bounded`](nfv_controller::ReoptConfig::bounded):
+//!   hysteresis on the predicted latency gain, a per-tick migration
+//!   budget);
 //! * **offline-oracle** — adopts the full fresh RCKK assignment on every
 //!   tick, an upper bound on re-balancing aggressiveness (and migration
 //!   churn);
 //! * **joint-reopt** — periodic-reopt plus the bounded BFDSU re-placement
-//!   phase ([`ReplaceConfig::bounded`]): instance counts follow the live
-//!   load via a ρ-headroom rule and the physical placement is repacked
-//!   incrementally, at most `K` instance operations per tick. The only
-//!   policy that knows the physical cluster
+//!   phase
+//!   ([`ReplaceConfig::bounded`](nfv_controller::ReplaceConfig::bounded)):
+//!   instance counts follow the live load via a ρ-headroom rule and the
+//!   physical placement is repacked incrementally, at most `K` instance
+//!   operations per tick. The only policy that knows the physical cluster
 //!   ([`Controller::with_cluster`]); the scheduling-only policies keep the
 //!   `t = 0` instance counts frozen.
 //!

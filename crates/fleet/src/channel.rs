@@ -18,15 +18,14 @@ use nfv_workload::churn::TimedEvent;
 
 /// A bounded FIFO of timed events for one tenant.
 #[derive(Debug)]
-pub struct EventChannel {
+pub(crate) struct EventChannel {
     buf: VecDeque<TimedEvent>,
     capacity: usize,
 }
 
 impl EventChannel {
     /// Creates a channel holding at most `capacity` events (min 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             buf: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
@@ -39,7 +38,7 @@ impl EventChannel {
     /// # Errors
     ///
     /// The rejected event itself, unmodified.
-    pub fn try_push(&mut self, event: TimedEvent) -> Result<(), TimedEvent> {
+    pub(crate) fn try_push(&mut self, event: TimedEvent) -> Result<(), TimedEvent> {
         if self.buf.len() >= self.capacity {
             return Err(event);
         }
@@ -48,32 +47,18 @@ impl EventChannel {
     }
 
     /// Dequeues the oldest event.
-    pub fn pop(&mut self) -> Option<TimedEvent> {
+    pub(crate) fn pop(&mut self) -> Option<TimedEvent> {
         self.buf.pop_front()
     }
 
     /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether the channel holds no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Whether the channel is at capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.buf.len() >= self.capacity
-    }
-
-    /// The configured bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -89,7 +74,7 @@ mod tests {
     #[test]
     fn bounded_fifo_preserves_order_and_backpressures() {
         let mut ch = EventChannel::new(2);
-        assert!(ch.is_empty());
+        assert_eq!(ch.len(), 0);
         assert!(ch.try_push(tick(1.0)).is_ok());
         assert!(ch.try_push(tick(2.0)).is_ok());
         assert!(ch.is_full());
@@ -106,7 +91,6 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let mut ch = EventChannel::new(0);
-        assert_eq!(ch.capacity(), 1);
         assert!(ch.try_push(tick(0.0)).is_ok());
         assert!(ch.is_full());
     }

@@ -56,7 +56,7 @@ struct Parked<'s> {
 /// The ownership layer: tracks the (at most one) tenant in transit and
 /// the completed migration history.
 #[derive(Debug, Default)]
-pub struct HandoffLayer<'s> {
+pub(crate) struct HandoffLayer<'s> {
     parked: Option<Parked<'s>>,
     records: Vec<MigrationRecord>,
 }
@@ -67,7 +67,7 @@ fn check_conservation(
     phase: &'static str,
     report: &ControllerReport,
 ) -> Result<(), FleetError> {
-    if report.admitted + report.retry_admitted == report.active + report.departed + report.shed {
+    if report.conserves() {
         Ok(())
     } else {
         Err(FleetError::ConservationViolated { tenant, phase })
@@ -76,21 +76,18 @@ fn check_conservation(
 
 impl<'s> HandoffLayer<'s> {
     /// Whether no tenant is currently in transit.
-    #[must_use]
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.parked.is_none()
     }
 
     /// The parked tenant's counter snapshot, for fleet-wide totals while
     /// it is in transit.
-    #[must_use]
-    pub fn parked_report(&self) -> Option<&ControllerReport> {
+    pub(crate) fn parked_report(&self) -> Option<&ControllerReport> {
         self.parked.as_ref().map(|p| &p.snapshot)
     }
 
     /// Completed migrations, oldest first.
-    #[must_use]
-    pub fn records(&self) -> &[MigrationRecord] {
+    pub(crate) fn records(&self) -> &[MigrationRecord] {
         &self.records
     }
 
@@ -104,7 +101,7 @@ impl<'s> HandoffLayer<'s> {
     ///
     /// [`FleetError::ConservationViolated`] if the retiring tenant's
     /// counters do not balance.
-    pub fn initiate(
+    pub(crate) fn initiate(
         &mut self,
         shards: &mut [Shard<'s>],
         epoch: u64,
@@ -186,7 +183,7 @@ impl<'s> HandoffLayer<'s> {
     ///
     /// [`FleetError::ConservationViolated`] if the counters moved while
     /// parked or no longer balance.
-    pub fn install_due(
+    pub(crate) fn install_due(
         &mut self,
         shards: &mut [Shard<'s>],
         epoch: u64,

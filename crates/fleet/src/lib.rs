@@ -10,18 +10,17 @@
 //! The moving parts:
 //!
 //! - **Tenants** — each an isolated world: its own scenario, its own
-//!   lazy churn stream (seeded via
-//!   [`tenant_seed`](nfv_workload::tenancy::tenant_seed)), its own
-//!   [`Controller`](nfv_controller::Controller).
-//! - **Channels** ([`EventChannel`]) — bounded buffers between each
-//!   tenant's trace stream and its controller. A backpressure round pumps
-//!   the stream until the channel is full or the epoch boundary is
-//!   reached, then drains the channel; a tenant's rounds depend on its
-//!   own stream alone, so backpressure is part of the deterministic
-//!   schedule, not an accident of timing — and the bound decides how many
-//!   rounds run, never what a tenant computes (an injected chaos
-//!   duplicate aside: it is lost on a full channel).
-//! - **Shards** ([`Shard`]) — disjoint tenant sets. Each epoch is one
+//!   lazy churn stream (seeded via [`tenant_seed`]), its own
+//!   [`Controller`].
+//! - **Channels** — bounded buffers between each tenant's trace stream
+//!   and its controller. A backpressure round pumps the stream until the
+//!   channel is full or the epoch boundary is reached, then drains the
+//!   channel; a tenant's rounds depend on its own stream alone, so
+//!   backpressure is part of the deterministic schedule, not an accident
+//!   of timing — and the bound decides how many rounds run, never what a
+//!   tenant computes (an injected chaos duplicate aside: it is lost on a
+//!   full channel).
+//! - **Shards** — disjoint tenant sets. Each epoch is exactly one
 //!   supervised pool call in which every shard runs its own rounds —
 //!   stream generation, chaos logging and draining all on the pool —
 //!   with results folded in shard-id order, so thread count never changes
@@ -30,10 +29,10 @@
 //! - **Epochs** — the virtual clock advances in fixed steps; every event
 //!   with `time ≤ boundary` is pumped and drained (possibly over several
 //!   backpressure rounds) before the fleet crosses the boundary.
-//! - **Handoff** ([`HandoffLayer`]) — every `rebalance_every` epochs the
-//!   busiest tenant of the most-loaded shard migrates to the
-//!   least-loaded shard as a two-phase retire/add with conservation
-//!   accounting (see the `handoff` module docs).
+//! - **Handoff** — every `rebalance_every` epochs the busiest tenant of
+//!   the most-loaded shard migrates to the least-loaded shard as a
+//!   two-phase retire/add with conservation accounting ([`MigrationRecord`]
+//!   records each move).
 //!
 //! Journals merge per shard in shard-id order
 //! ([`TelemetryArtifacts::merged`]), so the fleet journal is one
@@ -41,28 +40,29 @@
 //!
 //! # Chaos & recovery
 //!
-//! [`run_with_faults`] drives the same loop under an [`FaultPlan`] of
-//! injected control-plane faults. At the start of every faulted epoch
-//! each installed tenant is checkpointed ([`TenantSlot`] →
-//! [`SlotCheckpoint`]: controller snapshot + a mark on the tenant's
-//! telemetry session + processed count) and every event pumped during
-//! the epoch is recorded in its slot's replay log. A worker panic
-//! mid-epoch is contained by the supervised pool call; the poisoned
-//! shard is restored on the main thread from its checkpoints, caught up
-//! by replaying its logs, and finishes its rounds in a follow-up pool
-//! call (an epoch without checkpoints has nothing to restore, so a panic
-//! there is a [`FleetError::Pool`]).
-//! Channel drops/duplicates, tenant crashes, and injected conservation
-//! corruption are repaired at the epoch boundary the same way — restore
-//! plus full-epoch replay — so a recoverable faulted run produces a
-//! **byte-identical** merged journal, fleet report, and epoch records to
-//! the undisturbed run. A tenant whose checkpoint is itself corrupt is
-//! retired through the quarantine path (its checkpoint-time counters
-//! frozen into the totals, [`FleetError`]-free); a wedged drain
+//! [`run_with_faults`] drives the same loop under a [`FaultPlan`] of
+//! injected control-plane faults, all through one fault path. At the
+//! start of every faulted epoch each installed tenant is checkpointed
+//! (controller snapshot + a mark on the tenant's telemetry session +
+//! processed count) and armed with its own faults of the epoch; from
+//! then on every event it pumps is recorded in its replay log. A worker
+//! panic mid-epoch is contained by the supervised pool call; the
+//! poisoned shard is restored on the main thread from its checkpoints,
+//! caught up by replaying its logs, and finishes its rounds there under
+//! [`nfv_parallel::catch_task`] (an epoch without checkpoints has nothing
+//! to restore, so a panic there — or a second one — is a
+//! [`FleetError::Pool`]). At the epoch boundary each tenant disarms and
+//! reports the faults that fired; channel drops/duplicates, tenant
+//! crashes, and injected conservation corruption are repaired the same
+//! way — restore plus full-epoch replay — so a recoverable faulted run
+//! produces a **byte-identical** merged journal, fleet report, and epoch
+//! records to the undisturbed run. A tenant whose checkpoint is itself
+//! corrupt is retired through the quarantine path (its checkpoint-time
+//! counters frozen into the totals, [`FleetError`]-free); a wedged drain
 //! surfaces as a typed [`FleetError::PumpStalled`]. Recovery telemetry
 //! (`CheckpointTaken`/`FaultInjected`/`ShardRestored`/
-//! `TenantQuarantined`) goes to a separate chaos journal so the tenant
-//! journal keeps its byte-identity.
+//! `TenantQuarantined`, every cause a [`FaultKind::label`]) goes to a
+//! separate chaos journal so the tenant journal keeps its byte-identity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,10 +82,10 @@ use nfv_workload::churn::ChurnTraceBuilder;
 use nfv_workload::tenancy::tenant_seed;
 use nfv_workload::{Scenario, ScenarioBuilder, ServiceRatePolicy, TenantId, WorkloadError};
 
-pub use channel::EventChannel;
-pub use handoff::{HandoffLayer, MigrationRecord};
-use shard::ChannelFaults;
-pub use shard::{Shard, SlotCheckpoint, TenantSlot};
+use channel::EventChannel;
+use handoff::HandoffLayer;
+pub use handoff::MigrationRecord;
+use shard::{Shard, SlotCheckpoint, TenantSlot};
 
 // Re-exported so fleet callers can build fault plans without a separate
 // `nfv-chaos` dependency.
@@ -487,63 +487,112 @@ fn fixed_histogram((lo, hi, bins): (f64, f64, usize)) -> Option<Histogram> {
     Histogram::new(lo, hi, bins)
 }
 
-/// Folds one tenant's final state into the fleet registry and returns
-/// its latency percentiles: balanced-latency samples into the tenant's
-/// latency histogram (built locally and inserted once — per-sample
-/// `histogram_record` re-validation dominated the plane's overhead at
-/// 256 tenants), retry-backlog samples into the caller's per-shard
-/// backlog histogram, SLO breaches into `slo_violations`. Controller
-/// counters ride separately through [`accumulate_counters`].
-///
-/// `scratch` is a caller-owned buffer reused across tenants so the
-/// percentile pass allocates nothing per tenant (a
-/// [`Summary`](nfv_metrics::Summary) here
-/// costs two allocations and a sorted copy per call, which adds up at
-/// 256 tenants). It holds the tenant's finite latencies, sorted
-/// ascending, on return.
-fn observe_tenant(
-    registry: &mut Registry,
-    backlog: &mut Option<Histogram>,
-    scratch: &mut Vec<f64>,
-    tenant: TenantId,
-    series: &TickSeries,
+/// What closing the run collects, shard by shard in shard-id order
+/// (tenant order within each shard), quarantined tenants last: the final
+/// reports, the journal parts and — with the observability plane on —
+/// the registry, the per-tenant latency percentiles and the SLO breaches.
+/// The fold is serial, so the registry fills in the same order however
+/// many workers drained the epochs, and its dump is byte-identical at
+/// any thread count.
+struct Closing {
+    obs: bool,
     slo_latency: f64,
-    slo_violations: &mut u64,
-) -> TenantLatencyStats {
-    let mut latency_hist = fixed_histogram(LATENCY_HISTOGRAM);
-    scratch.clear();
-    for sample in series.samples() {
-        if let Some(hist) = latency_hist.as_mut() {
-            hist.push(sample.balanced_latency);
+    registry: Registry,
+    slo_violations: u64,
+    tenant_latency: Vec<TenantLatencyStats>,
+    /// Reused across tenants so the percentile pass allocates nothing per
+    /// tenant (a [`Summary`](nfv_metrics::Summary) costs two allocations
+    /// and a sorted copy per call, which adds up at 256 tenants).
+    latency_scratch: Vec<f64>,
+    tenant_reports: Vec<(TenantId, ControllerReport)>,
+    parts: Vec<TelemetryArtifacts>,
+}
+
+impl Closing {
+    /// Folds one shard's closed tenants in, the registry's `shard` label
+    /// set to `label`: controller counters through
+    /// [`accumulate_counters`], each tenant's latency histogram and
+    /// percentiles, the shard's retry-backlog histogram, and SLO
+    /// breaches. Returns the tenants' merged controller phase profile
+    /// (`None` with the plane off).
+    fn observe_shard(
+        &mut self,
+        label: &str,
+        tenants: Vec<(TenantId, ControllerReport, TelemetryArtifacts)>,
+    ) -> Option<PhaseProfile> {
+        let mut profile = self.obs.then(PhaseProfile::new);
+        let mut counters = Vec::new();
+        let mut backlog = self
+            .obs
+            .then(|| fixed_histogram(BACKLOG_HISTOGRAM))
+            .flatten();
+        for (tenant, report, artifacts) in tenants {
+            if self.obs {
+                accumulate_counters(&mut counters, &report);
+                self.observe_tenant(&mut backlog, tenant, &artifacts.series);
+            }
+            if let Some(profile) = profile.as_mut() {
+                profile.merge(&artifacts.profile);
+            }
+            self.tenant_reports.push((tenant, report));
+            self.parts.push(artifacts);
         }
-        if let Some(hist) = backlog.as_mut() {
-            #[allow(clippy::cast_precision_loss)]
-            hist.push(sample.retry_backlog as f64);
+        flush_counters(&mut self.registry, &counters);
+        if let Some(hist) = backlog.filter(|hist| hist.count() > 0) {
+            self.registry.histogram_insert(
+                Registry::labeled("shard_retry_backlog", "shard", label),
+                hist,
+            );
         }
-        if sample.balanced_latency.is_finite() {
-            scratch.push(sample.balanced_latency);
-        }
-        if sample.balanced_latency > slo_latency {
-            *slo_violations += 1;
-        }
+        profile
     }
-    if let Some(hist) = latency_hist {
-        if hist.count() > 0 {
+
+    /// Folds one tenant's tick series in: balanced-latency samples into
+    /// the tenant's latency histogram (built locally and inserted once —
+    /// per-sample `histogram_record` re-validation dominated the plane's
+    /// overhead at 256 tenants), retry-backlog samples into the shard's
+    /// `backlog`, breaches into `slo_violations`, and the percentiles of
+    /// the finite latencies into `tenant_latency`.
+    fn observe_tenant(
+        &mut self,
+        backlog: &mut Option<Histogram>,
+        tenant: TenantId,
+        series: &TickSeries,
+    ) {
+        let mut latency_hist = fixed_histogram(LATENCY_HISTOGRAM);
+        let scratch = &mut self.latency_scratch;
+        scratch.clear();
+        for sample in series.samples() {
+            if let Some(hist) = latency_hist.as_mut() {
+                hist.push(sample.balanced_latency);
+            }
+            if let Some(hist) = backlog.as_mut() {
+                #[allow(clippy::cast_precision_loss)]
+                hist.push(sample.retry_backlog as f64);
+            }
+            if sample.balanced_latency.is_finite() {
+                scratch.push(sample.balanced_latency);
+            }
+            if sample.balanced_latency > self.slo_latency {
+                self.slo_violations += 1;
+            }
+        }
+        if let Some(hist) = latency_hist.filter(|hist| hist.count() > 0) {
             // Tenant ids are digits, which never need label escaping, so
             // the key skips `Registry::labeled`'s escape pass.
-            registry.histogram_insert(
+            self.registry.histogram_insert(
                 format!("tenant_latency_seconds{{tenant=\"{}\"}}", tenant.as_u32()),
                 hist,
             );
         }
-    }
-    scratch.sort_unstable_by(f64::total_cmp);
-    TenantLatencyStats {
-        tenant,
-        samples: scratch.len() as u64,
-        p50: sorted_percentile(scratch, 0.5),
-        p95: sorted_percentile(scratch, 0.95),
-        p99: sorted_percentile(scratch, 0.99),
+        scratch.sort_unstable_by(f64::total_cmp);
+        self.tenant_latency.push(TenantLatencyStats {
+            tenant,
+            samples: scratch.len() as u64,
+            p50: sorted_percentile(scratch, 0.5),
+            p95: sorted_percentile(scratch, 0.95),
+            p99: sorted_percentile(scratch, 0.99),
+        });
     }
 }
 
@@ -680,7 +729,9 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     };
     let mut recovery = RecoveryReport::default();
     let mut quarantines: Vec<QuarantineRecord> = Vec::new();
-    let mut quarantined_artifacts: Vec<TelemetryArtifacts> = Vec::new();
+    // Each quarantined tenant's frozen report and checkpoint-time
+    // artifacts, closed after the live shards.
+    let mut frozen: Vec<(TenantId, ControllerReport, TelemetryArtifacts)> = Vec::new();
     let mut checkpoints: Vec<Option<SlotCheckpoint>> = (0..spec.tenants).map(|_| None).collect();
     for epoch in 0..epochs {
         let epoch_watch = obs.then(Stopwatch::start);
@@ -695,78 +746,23 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
         let epoch_start = epoch as f64 * spec.epoch;
         let epoch_end = spec.horizon.min((epoch + 1) as f64 * spec.epoch);
 
-        // Decode this epoch's faults into per-tenant/per-shard targets.
-        // Faults naming tenants that are parked (in transit) or already
-        // quarantined never fire: a parked tenant pumps and drains
-        // nothing, and a quarantined one has no slot.
-        let mut channel_faults = vec![ChannelFaults::default(); spec.tenants];
-        let mut crash: Vec<bool> = vec![false; spec.tenants];
-        let mut corrupt_live: Vec<bool> = vec![false; spec.tenants];
-        let mut corrupt_cp: Vec<bool> = vec![false; spec.tenants];
-        let mut wedge: Vec<bool> = vec![false; spec.tenants];
-        let mut panic_pending: Vec<usize> = Vec::new();
-        for fault in faults {
-            match *fault {
-                FaultKind::ShardPanic { shard } if shard < shards.len() => {
-                    panic_pending.push(shard);
-                }
-                FaultKind::TenantCrash { tenant } if (tenant as usize) < spec.tenants => {
-                    crash[tenant as usize] = true;
-                }
-                FaultKind::ChannelDrop { tenant, nth } if (tenant as usize) < spec.tenants => {
-                    channel_faults[tenant as usize].drop = Some(nth);
-                }
-                FaultKind::ChannelDup { tenant, nth } if (tenant as usize) < spec.tenants => {
-                    channel_faults[tenant as usize].dup = Some(nth);
-                }
-                FaultKind::CorruptState { tenant } if (tenant as usize) < spec.tenants => {
-                    corrupt_live[tenant as usize] = true;
-                }
-                FaultKind::CorruptCheckpoint { tenant } if (tenant as usize) < spec.tenants => {
-                    corrupt_cp[tenant as usize] = true;
-                }
-                FaultKind::WedgeDrain { tenant } if (tenant as usize) < spec.tenants => {
-                    wedge[tenant as usize] = true;
-                }
-                _ => {}
-            }
-        }
-
         // Checkpoint every installed tenant at the faulted epoch's start
         // (after install_due, so a freshly installed tenant is covered)
-        // and arm it: a fresh replay log, its channel faults, its wedge.
+        // and arm it with its own faults of the epoch. A fault naming a
+        // parked (in transit) or quarantined tenant arms no slot and never
+        // fires.
         if epoch_faulted {
             let checkpoint_watch = obs.then(Stopwatch::start);
             for shard in &mut shards {
-                let shard_id = shard.id() as u64;
-                let tenants = shard.tenants() as u64;
                 for slot in shard.slots_mut() {
-                    let t = slot.tenant().as_usize();
-                    checkpoints[t] = Some(slot.checkpoint());
-                    recovery.checkpoints += 1;
-                    slot.arm(channel_faults[t], wedge[t]);
-                    if wedge[t] {
-                        recovery.faults_injected += 1;
-                    }
+                    checkpoints[slot.tenant().as_usize()] = Some(slot.checkpoint());
+                    slot.arm(faults);
                 }
+                recovery.checkpoints += shard.tenants() as u64;
                 chaos_tel.emit(epoch_start, epoch, || EventKind::CheckpointTaken {
-                    shard: shard_id,
-                    tenants,
+                    shard: shard.id() as u64,
+                    tenants: shard.tenants() as u64,
                 });
-            }
-            for (t, wedged) in wedge.iter().enumerate() {
-                if *wedged {
-                    let shard = shards
-                        .iter()
-                        .position(|s| s.slots().iter().any(|x| x.tenant().as_usize() == t));
-                    if let Some(shard) = shard {
-                        chaos_tel.emit(epoch_start, epoch, || EventKind::FaultInjected {
-                            cause: "wedge_drain".into(),
-                            shard: shard as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                }
             }
             if let (Some(watch), Some(span)) = (checkpoint_watch, epoch_span) {
                 spans.accumulate(span, "checkpoint", watch.elapsed_seconds());
@@ -782,88 +778,60 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
         };
         // One supervised pool call runs every shard's backpressure rounds:
         // each worker's panic is contained by `catch_task`, so the shards
-        // (borrowed mutably through the pool) survive the unwind. A shard
-        // whose worker died is restored here on the main thread and
-        // finishes its rounds in a follow-up call.
-        let mut shard_seconds = vec![(0.0, 0.0); shards.len()];
-        let mut stall: Option<(usize, TenantId)> = None;
-        let mut due: Vec<usize> = (0..shards.len()).collect();
-        while !due.is_empty() {
-            let results = nfv_parallel::par_map_indexed(
-                threads,
-                shards
-                    .iter_mut()
-                    .filter(|s| due.contains(&s.id()))
-                    .collect::<Vec<&mut Shard>>(),
-                |_, shard: &mut Shard| {
-                    let id = shard.id();
-                    let inject = panic_pending.contains(&id);
-                    catch_task(id, || shard.rounds(boundary, inject, obs))
-                },
-            )
-            .map_err(FleetError::Pool)?;
-            let mut restored = Vec::new();
-            for (&i, result) in due.iter().zip(results) {
-                let panic = match result {
-                    Ok(rounds) => {
-                        shard_seconds[i].0 += rounds.seconds;
-                        shard_seconds[i].1 += rounds.pump_seconds;
-                        if let Some(tenant) = rounds.stalled {
-                            if stall.is_none_or(|(s, _)| i < s) {
-                                stall = Some((i, tenant));
-                            }
-                        }
-                        continue;
-                    }
-                    Err(panic) => panic,
-                };
+        // (borrowed mutably through the pool) survive the unwind.
+        let results = nfv_parallel::par_map_indexed(
+            threads,
+            shards.iter_mut().collect(),
+            |_, shard: &mut Shard| {
+                let id = shard.id();
+                let inject = faults.contains(&FaultKind::ShardPanic { shard: id });
+                catch_task(id, || shard.rounds(boundary, inject, obs))
+            },
+        )
+        .map_err(FleetError::Pool)?;
+        let mut shard_seconds = Vec::with_capacity(shards.len());
+        let mut stall = None;
+        for (shard, result) in shards.iter_mut().zip(results) {
+            let rounds = match result {
+                Ok(rounds) => rounds,
                 // An epoch that took no checkpoints has nothing to restore
                 // the poisoned shard to.
-                if !epoch_faulted {
-                    return Err(FleetError::Pool(panic));
-                }
+                Err(panic) if !epoch_faulted => return Err(FleetError::Pool(panic)),
                 // The worker died mid-epoch: restore every tenant of the
-                // poisoned shard from its epoch checkpoint, clear its
-                // channels, and replay the epoch's pumped events so far;
-                // the shard's remaining rounds run in the next call.
-                let restore_watch = obs.then(Stopwatch::start);
-                panic_pending.retain(|&s| s != i);
-                recovery.faults_injected += 1;
-                let shard = &mut shards[i];
-                let first_tenant = shard
-                    .slots()
-                    .first()
-                    .map_or(u64::MAX, |s| u64::from(s.tenant().as_u32()));
-                chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                    cause: "shard_panic".into(),
-                    shard: i as u64,
-                    tenant: first_tenant,
-                });
-                let mut replayed = 0;
-                let mut delta = 0i64;
-                for slot in shard.slots_mut() {
-                    let t = slot.tenant().as_usize();
-                    if let Some(checkpoint) = checkpoints[t].as_ref() {
-                        let (n, d) = slot.recover(checkpoint, epoch)?;
-                        replayed += n;
-                        delta += d;
+                // poisoned shard from its epoch checkpoint, replay the
+                // epoch's pumped events so far, and finish the shard's
+                // rounds here, still supervised.
+                Err(_) => {
+                    let restore_watch = obs.then(Stopwatch::start);
+                    let id = shard.id();
+                    let first_tenant = shard
+                        .slots()
+                        .first()
+                        .map_or(u64::MAX, |s| u64::from(s.tenant().as_u32()));
+                    recovery.faults_injected += 1;
+                    chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
+                        cause: FaultKind::ShardPanic { shard: id }.label().into(),
+                        shard: id as u64,
+                        tenant: first_tenant,
+                    });
+                    let (_, replayed) = shard.recover(&checkpoints, epoch, |_| true)?;
+                    recovery.shard_restores += 1;
+                    recovery.events_replayed += replayed;
+                    chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
+                        shard: id as u64,
+                        replayed,
+                    });
+                    if let (Some(watch), Some(span)) = (restore_watch, epoch_span) {
+                        spans.accumulate(span, "restore", watch.elapsed_seconds());
                     }
+                    catch_task(id, || shard.rounds(boundary, false, obs))
+                        .map_err(FleetError::Pool)?
                 }
-                shard.adjust_processed(delta);
-                recovery.shard_restores += 1;
-                recovery.events_replayed += replayed;
-                chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
-                    shard: i as u64,
-                    replayed,
-                });
-                if let (Some(watch), Some(span)) = (restore_watch, epoch_span) {
-                    spans.accumulate(span, "restore", watch.elapsed_seconds());
-                }
-                restored.push(i);
-            }
-            due = restored;
+            };
+            shard_seconds.push((rounds.seconds, rounds.pump_seconds));
+            stall = stall.or(rounds.stalled);
         }
-        if let Some((_, tenant)) = stall {
+        if let Some(tenant) = stall {
             // A shard's round moved nothing with events still buffered:
             // the lowest such shard's first stuck tenant.
             return Err(FleetError::PumpStalled { tenant, epoch });
@@ -878,97 +846,59 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
             }
         }
 
-        // Epoch-boundary fault application + recovery sweep: inject the
-        // boundary faults, then restore every tenant that crashed, saw a
-        // channel fault fire, or fails the conservation invariant —
-        // quarantining those whose checkpoint is corrupt.
+        // The epoch-boundary sweep: every tenant disarms and reports the
+        // faults that fired (a fired corruption breaks its counters), then
+        // every tenant that crashed, saw a channel fault fire, or fails
+        // the conservation law is restored and replayed — or quarantined,
+        // when the corrupt one is its checkpoint.
         if epoch_faulted {
             let sweep_watch = obs.then(Stopwatch::start);
             let mut quarantine_seconds = 0.0;
-            for (si, shard) in shards.iter_mut().enumerate() {
-                let mut delta = 0i64;
-                let mut replayed = 0u64;
-                let mut restored_any = false;
+            for shard in &mut shards {
+                let id = shard.id() as u64;
+                let mut to_restore: Vec<TenantId> = Vec::new();
                 let mut to_quarantine: Vec<(TenantId, &'static str)> = Vec::new();
                 for slot in shard.slots_mut() {
-                    let t = slot.tenant().as_usize();
-                    let (drop_fired, dup_fired) = slot.disarm();
-                    if corrupt_live[t] || corrupt_cp[t] {
-                        slot.corrupt_conservation();
+                    let tenant = slot.tenant();
+                    let fired = slot.disarm();
+                    let mut restore = !slot.report().conserves();
+                    let mut quarantine = None;
+                    for fault in fired {
                         recovery.faults_injected += 1;
-                        let cause = if corrupt_cp[t] {
-                            "corrupt_checkpoint"
-                        } else {
-                            "corrupt_state"
-                        };
                         chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: cause.into(),
-                            shard: si as u64,
-                            tenant: t as u64,
+                            cause: fault.label().into(),
+                            shard: id,
+                            tenant: u64::from(tenant.as_u32()),
                         });
-                        if corrupt_cp[t] {
-                            if let Some(checkpoint) = checkpoints[t].as_mut() {
-                                checkpoint.valid = false;
-                            }
+                        match fault {
+                            FaultKind::TenantCrash { .. }
+                            | FaultKind::ChannelDrop { .. }
+                            | FaultKind::ChannelDup { .. } => restore = true,
+                            FaultKind::CorruptCheckpoint { .. } => quarantine = Some(fault.label()),
+                            _ => {}
                         }
                     }
-                    if crash[t] {
-                        recovery.faults_injected += 1;
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: "tenant_crash".into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
+                    if let Some(cause) = quarantine {
+                        to_quarantine.push((tenant, cause));
+                    } else if restore {
+                        to_restore.push(tenant);
                     }
-                    if drop_fired {
-                        recovery.faults_injected += 1;
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: "channel_drop".into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                    if dup_fired {
-                        recovery.faults_injected += 1;
-                        chaos_tel.emit(epoch_end, epoch, || EventKind::FaultInjected {
-                            cause: "channel_dup".into(),
-                            shard: si as u64,
-                            tenant: t as u64,
-                        });
-                    }
-                    let report = slot.report();
-                    let conserved = report.admitted + report.retry_admitted
-                        == report.active + report.departed + report.shed;
-                    let needs_recovery = crash[t] || drop_fired || dup_fired || !conserved;
-                    if !needs_recovery {
-                        continue;
-                    }
-                    let Some(checkpoint) = checkpoints[t].as_ref() else {
-                        continue;
-                    };
-                    if !checkpoint.valid {
-                        to_quarantine.push((slot.tenant(), "corrupt_checkpoint"));
-                        continue;
-                    }
-                    let (n, d) = slot.recover(checkpoint, epoch)?;
-                    replayed += n;
-                    delta += d;
-                    restored_any = true;
-                    recovery.tenant_restores += 1;
                 }
-                shard.adjust_processed(delta);
-                if restored_any {
+                let (restored, replayed) = shard.recover(&checkpoints, epoch, |slot| {
+                    to_restore.contains(&slot.tenant())
+                })?;
+                recovery.tenant_restores += restored;
+                if restored > 0 {
                     recovery.events_replayed += replayed;
                     chaos_tel.emit(epoch_end, epoch, || EventKind::ShardRestored {
-                        shard: si as u64,
+                        shard: id,
                         replayed,
                     });
                 }
                 let quarantine_watch = obs.then(Stopwatch::start);
                 for (tenant, cause) in to_quarantine {
-                    let t = tenant.as_usize();
                     let (Some(slot), Some(checkpoint)) =
-                        (shard.retire(tenant), checkpoints[t].take())
+                        (shard.retire(tenant), checkpoints[tenant.as_usize()].take())
                     else {
                         continue;
                     };
@@ -995,13 +925,13 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
                             checkpoint.report.counters(),
                         ));
                     }
-                    quarantined_artifacts.push(artifacts);
                     quarantines.push(QuarantineRecord {
                         tenant,
                         epoch,
                         cause,
-                        report: checkpoint.report,
+                        report: checkpoint.report.clone(),
                     });
+                    frozen.push((tenant, checkpoint.report, artifacts));
                 }
                 if let Some(watch) = quarantine_watch {
                     quarantine_seconds += watch.elapsed_seconds();
@@ -1037,115 +967,48 @@ pub fn run_with_faults(spec: &FleetSpec, plan: &FaultPlan) -> Result<FleetOutcom
     debug_assert!(handoff.idle(), "every handoff installs before the run ends");
     let migrations = handoff.records().to_vec();
     // Close every tenant at the horizon and merge journals per shard in
-    // shard-id order (tenant order within each shard).
+    // shard-id order (tenant order within each shard), the quarantined
+    // tenants' checkpoint-time parts last, under the "quarantined" shard
+    // label.
     let finish_watch = obs.then(Stopwatch::start);
     let shard_events: Vec<u64> = shards.iter().map(Shard::processed).collect();
-    let mut tenant_reports: Vec<(TenantId, ControllerReport)> = Vec::with_capacity(spec.tenants);
-    let mut parts: Vec<TelemetryArtifacts> = Vec::with_capacity(spec.tenants);
-    let mut registry = Registry::new();
-    let mut slo_violations = 0u64;
-    let mut tenant_latency: Vec<TenantLatencyStats> = Vec::new();
-    let mut latency_scratch: Vec<f64> = Vec::new();
+    let mut closing = Closing {
+        obs,
+        slo_latency: spec.slo_latency,
+        registry: Registry::new(),
+        slo_violations: 0,
+        tenant_latency: Vec::new(),
+        latency_scratch: Vec::new(),
+        tenant_reports: Vec::with_capacity(spec.tenants),
+        parts: Vec::with_capacity(spec.tenants),
+    };
     for shard in shards {
-        let shard_label = shard.id().to_string();
-        let mut shard_profile = obs.then(PhaseProfile::new);
-        let mut shard_counters: Vec<(&'static str, u64)> = Vec::new();
-        let mut shard_backlog = if obs {
-            fixed_histogram(BACKLOG_HISTOGRAM)
-        } else {
-            None
-        };
+        let label = shard.id().to_string();
         if obs {
-            registry.counter_add(
-                Registry::labeled("fleet_shard_events_total", "shard", &shard_label),
+            closing.registry.counter_add(
+                Registry::labeled("fleet_shard_events_total", "shard", &label),
                 shard.processed(),
             );
         }
-        for (tenant, report, artifacts) in shard.finish(spec.horizon) {
-            if obs {
-                accumulate_counters(&mut shard_counters, &report);
-                tenant_latency.push(observe_tenant(
-                    &mut registry,
-                    &mut shard_backlog,
-                    &mut latency_scratch,
-                    tenant,
-                    &artifacts.series,
-                    spec.slo_latency,
-                    &mut slo_violations,
-                ));
-            }
-            if let Some(profile) = shard_profile.as_mut() {
-                profile.merge(&artifacts.profile);
-            }
-            tenant_reports.push((tenant, report));
-            parts.push(artifacts);
-        }
-        // This fold is serial and walks the shards in shard-id order, so
-        // the registry fills in a deterministic order regardless of how
-        // many workers drained the epochs — the dump is byte-identical
-        // at any thread count. (`Registry::merge` composes slices built
-        // elsewhere; the fleet writes directly to skip the merge copy.)
-        if obs {
-            flush_counters(&mut registry, &shard_counters);
-            if let Some(hist) = shard_backlog {
-                if hist.count() > 0 {
-                    registry.histogram_insert(
-                        Registry::labeled("shard_retry_backlog", "shard", &shard_label),
-                        hist,
-                    );
-                }
-            }
-        }
-        if let (Some(root), Some(profile)) = (root_span, shard_profile.as_ref()) {
+        let profile = closing.observe_shard(&label, shard.finish(spec.horizon));
+        if let (Some(root), Some(profile)) = (root_span, profile) {
             let total: f64 = Phase::ALL
                 .iter()
                 .map(|p| profile.summary(*p).samples().as_slice().iter().sum::<f64>())
                 .sum();
-            let node = spans.child(
-                root,
-                format!("controller phases shard {shard_label}"),
-                total,
-            );
-            spans.graft_profile(node, profile);
+            let node = spans.child(root, format!("controller phases shard {label}"), total);
+            spans.graft_profile(node, &profile);
         }
     }
-    // Quarantined tenants contribute their frozen checkpoint state:
-    // counters into the totals, checkpoint-time journal after the live
-    // shards' parts (quarantine order, which is deterministic), latency
-    // stats into the registry under the "quarantined" shard label.
-    let mut quarantine_counters: Vec<(&'static str, u64)> = Vec::new();
-    let mut quarantine_backlog = if obs {
-        fixed_histogram(BACKLOG_HISTOGRAM)
-    } else {
-        None
-    };
-    for (quarantine, artifacts) in quarantines.iter().zip(quarantined_artifacts) {
-        tenant_reports.push((quarantine.tenant, quarantine.report.clone()));
-        if obs {
-            accumulate_counters(&mut quarantine_counters, &quarantine.report);
-            tenant_latency.push(observe_tenant(
-                &mut registry,
-                &mut quarantine_backlog,
-                &mut latency_scratch,
-                quarantine.tenant,
-                &artifacts.series,
-                spec.slo_latency,
-                &mut slo_violations,
-            ));
-        }
-        parts.push(artifacts);
-    }
-    if obs {
-        flush_counters(&mut registry, &quarantine_counters);
-        if let Some(hist) = quarantine_backlog {
-            if hist.count() > 0 {
-                registry.histogram_insert(
-                    Registry::labeled("shard_retry_backlog", "shard", "quarantined"),
-                    hist,
-                );
-            }
-        }
-    }
+    closing.observe_shard("quarantined", frozen);
+    let Closing {
+        mut registry,
+        slo_violations,
+        mut tenant_latency,
+        mut tenant_reports,
+        parts,
+        ..
+    } = closing;
     let artifacts = TelemetryArtifacts::merged(parts);
     tenant_reports.sort_by_key(|(tenant, _)| *tenant);
     let mut report = FleetReport {

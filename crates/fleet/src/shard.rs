@@ -9,6 +9,7 @@
 //! `nfv-parallel` pool (results folded in shard-id order) is bit-identical
 //! to running them serially.
 
+use nfv_chaos::FaultKind;
 use nfv_controller::{Controller, ControllerReport, ControllerSnapshot};
 use nfv_telemetry::{Stopwatch, Telemetry, TelemetryArtifacts, TelemetryMark};
 use nfv_workload::churn::{ChurnStream, TimedEvent};
@@ -22,34 +23,20 @@ use crate::FleetError;
 /// report at capture time, and the processed-event count. Restoring a
 /// slot from its checkpoint and replaying the epoch's pumped events
 /// reproduces the undisturbed slot bit for bit.
-#[derive(Debug, Clone)]
-pub struct SlotCheckpoint {
-    pub(crate) tenant: TenantId,
-    pub(crate) controller: ControllerSnapshot,
-    pub(crate) telemetry: TelemetryMark,
+#[derive(Debug)]
+pub(crate) struct SlotCheckpoint {
+    tenant: TenantId,
+    controller: ControllerSnapshot,
+    telemetry: TelemetryMark,
     pub(crate) report: ControllerReport,
-    pub(crate) processed: u64,
-    /// Cleared by an injected checkpoint corruption: an invalid
-    /// checkpoint cannot restore, forcing the quarantine path.
-    pub(crate) valid: bool,
-}
-
-/// The channel faults armed on one tenant for one faulted epoch, each
-/// keyed on the index of the pumped event it hits.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ChannelFaults {
-    /// This pumped event is dropped before the channel.
-    pub(crate) drop: Option<u64>,
-    /// This pumped event is pushed twice; the copy is lost when the
-    /// channel has no room for it.
-    pub(crate) dup: Option<u64>,
+    processed: u64,
 }
 
 /// One tenant living inside a shard: its controller, its trace stream
 /// and event channel, its telemetry session, and its cumulative
 /// processed-event count.
 #[derive(Debug)]
-pub struct TenantSlot<'s> {
+pub(crate) struct TenantSlot<'s> {
     tenant: TenantId,
     controller: Controller,
     stream: ChurnStream<'s>,
@@ -63,8 +50,9 @@ pub struct TenantSlot<'s> {
     /// making progress), exercising the fleet's pump-stall detection.
     wedged: bool,
     /// `Some` from a faulted epoch's checkpoint to its boundary sweep:
-    /// the slot then records every pumped event in `log`.
-    armed: Option<ChannelFaults>,
+    /// the tenant's own faults of the epoch, in plan order, while the
+    /// slot records every pumped event in `log`.
+    armed: Option<Vec<FaultKind>>,
     /// The events pumped since the faulted epoch's checkpoint, dropped
     /// ones included, in pump order — what the controller would have
     /// seen through a perfect channel, and what recovery replays. Its
@@ -75,8 +63,7 @@ pub struct TenantSlot<'s> {
 impl<'s> TenantSlot<'s> {
     /// Assembles a slot around an idle controller and the tenant's
     /// unread trace stream.
-    #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         tenant: TenantId,
         controller: Controller,
         stream: ChurnStream<'s>,
@@ -98,26 +85,17 @@ impl<'s> TenantSlot<'s> {
     }
 
     /// The tenant this slot belongs to.
-    #[must_use]
-    pub fn tenant(&self) -> TenantId {
+    pub(crate) fn tenant(&self) -> TenantId {
         self.tenant
     }
 
-    /// Buffered (pumped but not yet processed) events.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.channel.len()
-    }
-
     /// Events this tenant's controller has processed so far.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.processed
     }
 
     /// The controller's current counter snapshot.
-    #[must_use]
-    pub fn report(&self) -> ControllerReport {
+    pub(crate) fn report(&self) -> ControllerReport {
         self.controller.report()
     }
 
@@ -131,8 +109,8 @@ impl<'s> TenantSlot<'s> {
     /// channel is full or the next event lies past `boundary` (it parks
     /// as the head). Returns the number of events pumped.
     ///
-    /// While armed, every pumped event is logged first; the armed drop
-    /// then never reaches the channel and the armed duplicate is pushed
+    /// While armed, every pumped event is logged first; an armed drop
+    /// then keeps it from the channel and an armed duplicate pushes it
     /// twice, the copy lost if the channel has no room — deterministic
     /// either way. A dropped event still counts as pumped: the stream
     /// advanced.
@@ -147,16 +125,22 @@ impl<'s> TenantSlot<'s> {
                 break;
             }
             pumped += 1;
-            let Some(faults) = self.armed else {
+            let Some(faults) = &self.armed else {
                 self.push(event);
                 continue;
             };
-            let nth = self.log.len() as u64;
+            let at = self.log.len() as u64;
+            let dropped = faults
+                .iter()
+                .any(|fault| matches!(*fault, FaultKind::ChannelDrop { nth, .. } if nth == at));
+            let duplicated = faults
+                .iter()
+                .any(|fault| matches!(*fault, FaultKind::ChannelDup { nth, .. } if nth == at));
             self.log.push(event.clone());
-            if faults.drop == Some(nth) {
+            if dropped {
                 continue;
             }
-            let duplicate = (faults.dup == Some(nth)).then(|| event.clone());
+            let duplicate = duplicated.then(|| event.clone());
             self.push(event);
             if let Some(duplicate) = duplicate {
                 if !self.channel.is_full() {
@@ -191,24 +175,46 @@ impl<'s> TenantSlot<'s> {
     }
 
     /// Starts a faulted epoch on the slot: a fresh replay log records
-    /// every event pumped from here on, `faults` hit the pumped events
-    /// they name, and a `wedge` stops the slot's drains.
-    pub(crate) fn arm(&mut self, faults: ChannelFaults, wedge: bool) {
+    /// every event pumped from here on, and the epoch's faults that name
+    /// this tenant take effect — a channel fault on the pumped event it
+    /// names, a wedge on every drain.
+    pub(crate) fn arm(&mut self, epoch_faults: &[FaultKind]) {
+        let tenant = Some(self.tenant.as_u32());
+        let faults: Vec<FaultKind> = epoch_faults
+            .iter()
+            .filter(|fault| fault.tenant() == tenant)
+            .copied()
+            .collect();
+        self.wedged = faults
+            .iter()
+            .any(|fault| matches!(fault, FaultKind::WedgeDrain { .. }));
         self.log.clear();
         self.armed = Some(faults);
-        self.wedged = wedge;
     }
 
     /// Ends the faulted epoch at its boundary: recording stops and the
     /// wedge lifts, while the log stays for the boundary's recovery.
-    /// Returns whether the armed drop and duplicate fired — whether the
-    /// event index each names was pumped.
-    pub(crate) fn disarm(&mut self) -> (bool, bool) {
+    /// Returns the armed faults that fired, in plan order: every one but
+    /// a channel fault whose event index was never pumped. Each fired
+    /// corruption breaks the controller's conservation law here, for the
+    /// boundary's invariant sweep to detect.
+    pub(crate) fn disarm(&mut self) -> Vec<FaultKind> {
         self.wedged = false;
         let pumped = self.log.len() as u64;
-        let fired = |nth: Option<u64>| nth.is_some_and(|nth| nth < pumped);
-        let faults = self.armed.take().unwrap_or_default();
-        (fired(faults.drop), fired(faults.dup))
+        let mut fired = self.armed.take().unwrap_or_default();
+        fired.retain(|fault| match *fault {
+            FaultKind::ChannelDrop { nth, .. } | FaultKind::ChannelDup { nth, .. } => nth < pumped,
+            _ => true,
+        });
+        for fault in &fired {
+            if matches!(
+                fault,
+                FaultKind::CorruptState { .. } | FaultKind::CorruptCheckpoint { .. }
+            ) {
+                self.controller.chaos_corrupt_conservation();
+            }
+        }
+        fired
     }
 
     /// Captures the slot's full recoverable state. The telemetry part is
@@ -220,7 +226,6 @@ impl<'s> TenantSlot<'s> {
             telemetry: self.telemetry.mark(),
             report: self.controller.report(),
             processed: self.processed,
-            valid: true,
         }
     }
 
@@ -229,24 +234,18 @@ impl<'s> TenantSlot<'s> {
     /// channel cleared (its events are in the replay log), the wedge
     /// lifted — then replays the epoch's log straight into the controller
     /// to catch up. The stream, its parked head and the log itself are
-    /// left as they are. Returns the events replayed and the change to
-    /// the processed count, which the shard's own counter must follow.
+    /// left as they are. Returns the events replayed.
     ///
     /// # Errors
     ///
     /// [`FleetError::RestoreFailed`] if the controller snapshot does not
     /// fit this controller or the mark is not the session's live mark
     /// (neither happens for the latest checkpoint taken from this slot).
-    pub(crate) fn recover(
-        &mut self,
-        checkpoint: &SlotCheckpoint,
-        epoch: u64,
-    ) -> Result<(u64, i64), FleetError> {
+    fn recover(&mut self, checkpoint: &SlotCheckpoint, epoch: u64) -> Result<u64, FleetError> {
         debug_assert_eq!(
             checkpoint.tenant, self.tenant,
             "checkpoints restore into the slot they were taken from"
         );
-        let before = self.processed;
         let tenant = self.tenant;
         let failed = || FleetError::RestoreFailed { tenant, epoch };
         self.telemetry
@@ -262,7 +261,7 @@ impl<'s> TenantSlot<'s> {
         }
         let replayed = self.log.len() as u64;
         self.processed = checkpoint.processed + replayed;
-        Ok((replayed, self.processed as i64 - before as i64))
+        Ok(replayed)
     }
 
     /// Retires the slot through quarantine: its telemetry session rewinds
@@ -286,12 +285,6 @@ impl<'s> TenantSlot<'s> {
                 epoch,
             })?;
         Ok(self.telemetry.finish())
-    }
-
-    /// Chaos hook: breaks the controller's admission conservation law so
-    /// the fleet's epoch-end invariant sweep has something to detect.
-    pub(crate) fn corrupt_conservation(&mut self) {
-        self.controller.chaos_corrupt_conservation();
     }
 
     /// Closes the run at `horizon` and returns the final report plus the
@@ -321,7 +314,7 @@ pub(crate) struct ShardRounds {
 /// A disjoint set of tenants pumped and drained together on one pool
 /// worker.
 #[derive(Debug)]
-pub struct Shard<'s> {
+pub(crate) struct Shard<'s> {
     id: usize,
     slots: Vec<TenantSlot<'s>>,
     processed: u64,
@@ -329,8 +322,7 @@ pub struct Shard<'s> {
 
 impl<'s> Shard<'s> {
     /// Creates an empty shard.
-    #[must_use]
-    pub fn new(id: usize) -> Self {
+    pub(crate) fn new(id: usize) -> Self {
         Self {
             id,
             slots: Vec::new(),
@@ -339,51 +331,46 @@ impl<'s> Shard<'s> {
     }
 
     /// The shard's index in the fleet.
-    #[must_use]
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
     /// Number of tenants currently owned.
-    #[must_use]
-    pub fn tenants(&self) -> usize {
+    pub(crate) fn tenants(&self) -> usize {
         self.slots.len()
     }
 
     /// The owned slots in tenant-id order.
-    pub fn slots_mut(&mut self) -> &mut [TenantSlot<'s>] {
+    pub(crate) fn slots_mut(&mut self) -> &mut [TenantSlot<'s>] {
         &mut self.slots
     }
 
     /// The owned slots in tenant-id order.
-    #[must_use]
-    pub fn slots(&self) -> &[TenantSlot<'s>] {
+    pub(crate) fn slots(&self) -> &[TenantSlot<'s>] {
         &self.slots
     }
 
     /// Total events buffered across the shard's channels.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.slots.iter().map(TenantSlot::buffered).sum()
+    fn buffered(&self) -> usize {
+        self.slots.iter().map(|slot| slot.channel.len()).sum()
     }
 
     /// Cumulative events processed by the shard's tenants — the load
     /// metric the rebalancer compares shards by.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
+    pub(crate) fn processed(&self) -> u64 {
         self.processed
     }
 
     /// Installs a tenant, keeping the slots sorted by tenant id so pump
     /// and drain order are a pure function of ownership, not arrival
     /// order.
-    pub fn install(&mut self, slot: TenantSlot<'s>) {
+    pub(crate) fn install(&mut self, slot: TenantSlot<'s>) {
         let at = self.slots.partition_point(|s| s.tenant() < slot.tenant());
         self.slots.insert(at, slot);
     }
 
     /// Removes and returns a tenant's slot (`None` if not owned here).
-    pub fn retire(&mut self, tenant: TenantId) -> Option<TenantSlot<'s>> {
+    pub(crate) fn retire(&mut self, tenant: TenantId) -> Option<TenantSlot<'s>> {
         let at = self.slots.iter().position(|s| s.tenant() == tenant)?;
         Some(self.slots.remove(at))
     }
@@ -397,9 +384,10 @@ impl<'s> Shard<'s> {
     ///
     /// With `inject_panic`, the first round that buffers events — always
     /// the first round, since every channel starts the epoch empty —
-    /// drains half of them, rounded up, and panics: the worker death the
-    /// fleet's supervised pool call contains and recovers from. With
-    /// `timed`, the call and its pump phases are timed.
+    /// drains half of them, rounded up, and unwinds: the worker death the
+    /// fleet's supervised pool call contains and recovers from. The
+    /// unwind skips the panic hook, so an injected fault prints nothing.
+    /// With `timed`, the call and its pump phases are timed.
     pub(crate) fn rounds(&mut self, boundary: f64, inject_panic: bool, timed: bool) -> ShardRounds {
         let watch = timed.then(Stopwatch::start);
         let mut out = ShardRounds::default();
@@ -415,7 +403,7 @@ impl<'s> Shard<'s> {
             }
             if inject_panic {
                 self.drain_upto((buffered as u64).div_ceil(2));
-                panic!("injected shard-worker panic");
+                std::panic::resume_unwind(Box::new("injected shard-worker panic"));
             }
             let drained: u64 = self.slots.iter_mut().map(TenantSlot::drain).sum();
             self.processed += drained;
@@ -423,7 +411,7 @@ impl<'s> Shard<'s> {
                 out.stalled = self
                     .slots
                     .iter()
-                    .find(|slot| slot.buffered() > 0)
+                    .find(|slot| slot.channel.len() > 0)
                     .map(TenantSlot::tenant);
                 break;
             }
@@ -448,20 +436,47 @@ impl<'s> Shard<'s> {
         self.processed += drained;
     }
 
-    /// Re-aligns the shard's cumulative processed counter after a
-    /// checkpoint restore + replay changed its slots' counts (the
-    /// rebalancer compares shards by this, so recovery must leave it
-    /// exactly where the undisturbed run would).
-    pub(crate) fn adjust_processed(&mut self, delta: i64) {
-        let adjusted = self.processed.checked_add_signed(delta);
-        debug_assert!(adjusted.is_some(), "processed adjustment underflows");
-        self.processed = adjusted.unwrap_or(self.processed);
+    /// Restores every slot `selected` picks from its tenant's epoch
+    /// checkpoint and replays the slot's epoch log (a slot without a
+    /// checkpoint is skipped). The shard's processed counter follows its
+    /// slots' restored counts, so the rebalancer sees exactly what the
+    /// undisturbed run would. Returns the slots restored and the events
+    /// replayed.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::RestoreFailed`] if a checkpoint does not restore.
+    pub(crate) fn recover(
+        &mut self,
+        checkpoints: &[Option<SlotCheckpoint>],
+        epoch: u64,
+        selected: impl Fn(&TenantSlot<'s>) -> bool,
+    ) -> Result<(u64, u64), FleetError> {
+        let (mut restored, mut replayed) = (0, 0);
+        for slot in &mut self.slots {
+            if !selected(slot) {
+                continue;
+            }
+            let checkpoint = checkpoints.get(slot.tenant.as_usize());
+            let Some(checkpoint) = checkpoint.and_then(Option::as_ref) else {
+                continue;
+            };
+            // The slot's events of this epoch are in both counters, so
+            // the sum never underflows.
+            let before = slot.processed;
+            replayed += slot.recover(checkpoint, epoch)?;
+            self.processed = self.processed + slot.processed - before;
+            restored += 1;
+        }
+        Ok((restored, replayed))
     }
 
     /// Closes every tenant at `horizon`; returns `(tenant, report,
     /// artifacts)` triples in tenant-id order.
-    #[must_use]
-    pub fn finish(self, horizon: f64) -> Vec<(TenantId, ControllerReport, TelemetryArtifacts)> {
+    pub(crate) fn finish(
+        self,
+        horizon: f64,
+    ) -> Vec<(TenantId, ControllerReport, TelemetryArtifacts)> {
         self.slots
             .into_iter()
             .map(|slot| slot.finish(horizon))
@@ -569,7 +584,8 @@ mod tests {
                 Telemetry::disabled(),
             ));
         }
-        shard.slots_mut()[1].arm(ChannelFaults::default(), true);
+        let wedge = FaultKind::WedgeDrain { tenant: 1 };
+        shard.slots_mut()[1].arm(&[wedge]);
         let rounds = shard.rounds(f64::MAX, false, false);
         assert_eq!(rounds.stalled, Some(TenantId::new(1)));
         let slots = shard.slots();
@@ -579,11 +595,51 @@ mod tests {
         );
         assert_eq!(slots[1].processed(), 0);
         assert_eq!(
-            slots[1].buffered(),
+            slots[1].channel.len(),
             2,
             "the wedged channel filled and stuck"
         );
         assert_eq!(slots[2].processed(), slots[0].processed());
-        assert_eq!(shard.slots_mut()[1].disarm(), (false, false));
+        assert_eq!(shard.slots_mut()[1].disarm(), vec![wedge]);
+    }
+
+    #[test]
+    fn disarm_reports_the_faults_that_fired_and_recover_undoes_them() {
+        let scenario = scenario();
+        let events = builder().build(&scenario).unwrap().len() as u64;
+        let mut shard = Shard::new(0);
+        shard.install(TenantSlot::new(
+            TenantId::new(0),
+            Controller::new(&scenario, ControllerConfig::online_only()),
+            builder().stream(&scenario).unwrap(),
+            EventChannel::new(4),
+            Telemetry::enabled(),
+        ));
+        let checkpoint = shard.slots_mut()[0].checkpoint();
+        let faults = [
+            FaultKind::ChannelDrop { tenant: 0, nth: 1 },
+            FaultKind::TenantCrash { tenant: 1 },
+            FaultKind::ChannelDup {
+                tenant: 0,
+                nth: events,
+            },
+            FaultKind::CorruptState { tenant: 0 },
+        ];
+        shard.slots_mut()[0].arm(&faults);
+        shard.rounds(f64::MAX, false, false);
+        assert_eq!(shard.processed(), events - 1, "the drop fired");
+        // Tenant 1's crash armed nothing here and the duplicate's index
+        // was never pumped; the corruption fires at the boundary.
+        let fired = shard.slots_mut()[0].disarm();
+        assert_eq!(fired, vec![faults[0], faults[3]]);
+        assert!(!shard.slots()[0].report().conserves());
+        let (restored, replayed) = shard.recover(&[Some(checkpoint)], 0, |_| true).unwrap();
+        assert_eq!((restored, replayed), (1, events));
+        assert_eq!(shard.processed(), events, "the shard follows its slot");
+        let mut direct = Controller::new(&scenario, ControllerConfig::online_only());
+        for event in builder().build(&scenario).unwrap().events() {
+            direct.handle(event);
+        }
+        assert_eq!(shard.slots()[0].report(), direct.report());
     }
 }

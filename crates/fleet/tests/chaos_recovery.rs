@@ -8,6 +8,7 @@
 use nfv_controller::Controller;
 use nfv_fleet::{
     run, run_with_faults, FaultKind, FaultPlan, FaultRates, FleetError, FleetOutcome, FleetSpec,
+    RecoveryReport,
 };
 use nfv_parallel::derive_seed;
 use nfv_telemetry::{EventKind, Telemetry, TelemetryArtifacts, FLIGHT_RECORDER_WINDOW};
@@ -288,13 +289,31 @@ fn wedges_on_two_shards_stall_on_the_lower_shards_tenant() {
     }
 }
 
+/// The chaos journal's `FaultInjected` records as (cause, shard, tenant),
+/// journal order.
+fn fired(outcome: &FleetOutcome) -> Vec<(&str, u64, u64)> {
+    outcome
+        .chaos_artifacts
+        .events
+        .iter()
+        .filter_map(|event| match &event.kind {
+            EventKind::FaultInjected {
+                cause,
+                shard,
+                tenant,
+            } => Some((cause.as_str(), *shard, *tenant)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn a_shard_panic_and_a_crash_on_that_shard_recover_byte_identically() {
     // In epoch 1 shard 0 holds tenant 2 (tenant 0 is in transit). The
-    // panic restores shard 0 mid-epoch and its rounds resume in a
-    // follow-up pool call; the crash then restores tenant 2 at the
-    // boundary from the same checkpoint, replaying the whole epoch's log.
-    // Two-slot channels leave rounds for the follow-up call to run.
+    // panic restores shard 0 mid-epoch and its rounds resume on the main
+    // thread; the crash then restores tenant 2 at the boundary from the
+    // same checkpoint, replaying the whole epoch's log. Two-slot channels
+    // leave rounds to run after the restore.
     let spec = FleetSpec {
         channel_capacity: 2,
         ..spec()
@@ -307,25 +326,87 @@ fn a_shard_panic_and_a_crash_on_that_shard_recover_byte_identically() {
         let faulted = run_with_faults(&FleetSpec { threads, ..spec }, &plan).unwrap();
         assert_eq!(faulted.recovery.shard_restores, 1, "the panic fired");
         assert_eq!(faulted.recovery.tenant_restores, 1, "the crash fired");
-        let fired: Vec<(&str, u64, u64)> = faulted
-            .chaos_artifacts
-            .events
-            .iter()
-            .filter_map(|event| match &event.kind {
-                EventKind::FaultInjected {
-                    cause,
-                    shard,
-                    tenant,
-                } => Some((cause.as_str(), *shard, *tenant)),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            fired,
+            fired(&faulted),
             vec![("shard_panic", 0, 2), ("tenant_crash", 0, 2)],
             "both faults land on shard 0, where tenant 2 lives"
         );
         assert_byte_identical(&faulted, &baseline);
+    }
+}
+
+#[test]
+fn stacked_faults_each_get_a_record_and_recover_byte_identically() {
+    // Epoch 0, before any handoff: shard 0 holds tenants 0 and 2, shard 1
+    // tenants 1 and 3. Tenant 1 stacks two channel drops and a live
+    // corruption; shard 0 panics mid-epoch while tenant 2 is wedged. The
+    // panic's restore lifts the wedge, so shard 0 finishes its rounds;
+    // the wedge still fired and is reported at the boundary.
+    let plan = FaultPlan::none()
+        .with_fault(0, FaultKind::ChannelDrop { tenant: 1, nth: 0 })
+        .with_fault(0, FaultKind::ChannelDrop { tenant: 1, nth: 1 })
+        .with_fault(0, FaultKind::CorruptState { tenant: 1 })
+        .with_fault(0, FaultKind::WedgeDrain { tenant: 2 })
+        .with_fault(0, FaultKind::ShardPanic { shard: 0 });
+    let baseline = run(&spec()).unwrap();
+    for threads in [1, 2] {
+        let faulted = run_with_faults(&FleetSpec { threads, ..spec() }, &plan).unwrap();
+        assert_eq!(
+            fired(&faulted),
+            vec![
+                ("shard_panic", 0, 0),
+                ("wedge_drain", 0, 2),
+                ("channel_drop", 1, 1),
+                ("channel_drop", 1, 1),
+                ("corrupt_state", 1, 1),
+            ],
+            "one record per fired fault, {threads} thread(s)"
+        );
+        assert_eq!(faulted.recovery.faults_injected, 5, "one count per fault");
+        assert_eq!(faulted.recovery.shard_restores, 1);
+        assert_eq!(faulted.recovery.tenant_restores, 1, "tenant 1 once");
+        assert!(faulted.quarantines.is_empty());
+        assert_byte_identical(&faulted, &baseline);
+    }
+}
+
+#[test]
+fn a_corruption_stacked_on_a_corrupt_checkpoint_adds_only_its_record() {
+    // Both corruptions fire on tenant 1 in epoch 1, and each is reported
+    // and counted; the corrupt checkpoint quarantines the tenant exactly
+    // as it does alone.
+    let alone = FaultPlan::none().with_fault(1, FaultKind::CorruptCheckpoint { tenant: 1 });
+    let stacked = FaultPlan::none()
+        .with_fault(1, FaultKind::CorruptState { tenant: 1 })
+        .with_fault(1, FaultKind::CorruptCheckpoint { tenant: 1 });
+    for threads in [1, 2] {
+        let spec = FleetSpec { threads, ..spec() };
+        let alone = run_with_faults(&spec, &alone).unwrap();
+        let stacked = run_with_faults(&spec, &stacked).unwrap();
+        let [(_, shard, tenant)] = fired(&alone)[..] else {
+            panic!("the corrupt checkpoint fires once: {:?}", fired(&alone));
+        };
+        assert_eq!(tenant, 1);
+        assert_eq!(
+            fired(&stacked),
+            vec![
+                ("corrupt_state", shard, 1),
+                ("corrupt_checkpoint", shard, 1),
+            ],
+            "{threads} thread(s)"
+        );
+        assert_eq!(
+            stacked.recovery,
+            RecoveryReport {
+                faults_injected: 2,
+                ..alone.recovery
+            },
+            "the stack only adds a fault"
+        );
+        assert_eq!(stacked.quarantines, alone.quarantines);
+        assert_byte_identical(&stacked, &alone);
+        assert_eq!(stacked.registry.to_text(), alone.registry.to_text());
+        assert_eq!(stacked.postmortems, alone.postmortems);
     }
 }
 

@@ -139,7 +139,7 @@ pub struct TenantInterleave<I: Iterator<Item = TimedEvent>> {
 
 impl<I: Iterator<Item = TimedEvent>> TenantInterleave<I> {
     /// Creates the merge over one stream per tenant; stream `i` becomes
-    /// [`TenantId::new(i)`]. Each stream must already be in
+    /// `TenantId::new(i)`. Each stream must already be in
     /// non-decreasing time order (churn traces and streams are).
     #[must_use]
     pub fn new(streams: Vec<I>) -> Self {
