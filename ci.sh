@@ -13,13 +13,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc (workspace, deny warnings: no broken or private intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Each test target runs once, here: the determinism audit, the panic-site
-# budget, thread invariance at 1/2/8 threads, the byte-identity goldens
+# Each test target runs once, here: the root package `nfv` is a workspace
+# member, so this one run covers the facade's tests (the determinism
+# audit, the panic-site budget, the decision-journal fixtures) beside
+# thread invariance at 1/2/8 threads, the byte-identity goldens
 # (results/golden/ and the results/ exports), node failure, the ledger and
 # retry-wheel oracles, the replay engine, anytime search, the fleet, chaos
-# recovery, observability and telemetry all live in these two runs.
-echo "== cargo test (facade + workspace) =="
-cargo test -q
+# recovery and its fixtures, observability and telemetry.
+echo "== cargo test (workspace, facade included) =="
 cargo test -q --workspace
 
 echo "== cargo build --release =="

@@ -62,7 +62,8 @@ pub enum EventOutcome {
         /// or the background refiner.
         relocations: u64,
     },
-    /// A tick was observed but hysteresis found too little predicted gain.
+    /// A tick ran its phases, but none committed a change, for whatever
+    /// reason (the `ReoptRejected` journal records name the causes).
     TickSkipped,
     /// A tick was observed but re-optimization is disabled.
     TickIgnored,
@@ -267,12 +268,6 @@ impl Controller {
     #[must_use]
     pub fn state(&self) -> &ControllerState {
         &self.state
-    }
-
-    /// Number of currently active requests.
-    #[must_use]
-    pub fn active_requests(&self) -> usize {
-        self.active.len()
     }
 
     /// Current virtual time.
@@ -1055,16 +1050,7 @@ impl Controller {
             self.enqueue_retry(&request, tel);
         }
         self.counters.shed += shed;
-        let (instances_added, relocations) = self.emergency_replace(tel);
-        if self.config.emergency.is_some() {
-            tel.emit(self.clock, self.counters.ticks, || {
-                EventKind::EmergencyReplace {
-                    node,
-                    instances_added,
-                    relocations,
-                }
-            });
-        }
+        let (instances_added, relocations) = self.emergency_replace(node, tel);
         EventOutcome::NodeDownHandled {
             vnfs_lost: hosted.len() as u64,
             shed,
@@ -1121,9 +1107,12 @@ impl Controller {
     /// and growing replacement instances toward the ρ-headroom targets —
     /// which include the retry backlog, since that traffic re-offers as
     /// soon as capacity returns. Bounded by the per-event op cap; no
-    /// latency hysteresis, because restoring availability is the point.
-    /// Returns `(instances_added, relocations)`.
-    fn emergency_replace(&mut self, tel: &mut Telemetry) -> (u64, u64) {
+    /// latency hysteresis, because restoring availability is the point,
+    /// so the grows go straight onto the live ledger and the plan commits
+    /// without a phase. Journals one `EmergencyReplace` record for the
+    /// failed `node`, whatever it changed. Returns
+    /// `(instances_added, relocations)`.
+    fn emergency_replace(&mut self, node: NodeId, tel: &mut Telemetry) -> (u64, u64) {
         let (Some(ec), Some(cluster)) = (self.config.emergency, self.cluster.as_ref()) else {
             return (0, 0);
         };
@@ -1138,20 +1127,29 @@ impl Controller {
             ec.max_instance_ops,
             &mut rng,
         );
-        let result = if grows.is_empty() && relocated.is_empty() {
-            // Nothing needed, or not even a pure relocation fits the
-            // surviving fleet: retries wait for the node to return.
-            (0, 0)
-        } else {
-            let added = grow(&mut self.state, &grows);
-            self.commit_assignment(assignment);
-            self.counters.instances_added += added;
-            self.counters.relocations += relocated.len() as u64;
-            self.counters.emergency_replaces += 1;
-            (added, relocated.len() as u64)
-        };
+        let (mut instances_added, relocations) = (0, relocated.len() as u64);
+        // With no grow and no relocation, nothing was needed or not even a
+        // pure relocation fits the surviving fleet: retries wait for the
+        // node to return.
+        if !grows.is_empty() || relocations > 0 {
+            instances_added = grow(&mut self.state, &grows);
+            let plan = Plan {
+                assignment: Some(assignment),
+                added: instances_added,
+                relocated: relocations,
+                ..Plan::default()
+            };
+            self.commit(None, plan, tel);
+        }
         tel.end(Phase::EmergencyReplace, token);
-        result
+        tel.emit(self.clock, self.counters.ticks, || {
+            EventKind::EmergencyReplace {
+                node,
+                instances_added,
+                relocations,
+            }
+        });
+        (instances_added, relocations)
     }
 
     /// ρ-headroom instance targets from live inflated rates, as unit
@@ -1208,25 +1206,12 @@ impl Controller {
         (grows, shrinks)
     }
 
-    /// Adopts a (possibly repacked) VNF→node assignment and recomputes
-    /// every VNF's host-availability from it — a VNF relocated off a dark
-    /// node becomes dispatchable again immediately.
-    fn commit_assignment(&mut self, assignment: Vec<NodeId>) {
-        let Some(cluster) = self.cluster.as_mut() else {
-            return;
-        };
-        cluster.assignment = assignment;
-        for (proto, &node) in cluster.protos.iter().zip(&cluster.assignment) {
-            self.state
-                .set_host_down(proto.id(), cluster.node_down[node.as_usize()] > 0);
-        }
-    }
-
-    /// A re-optimization tick. The re-placement phase (when configured and
-    /// a cluster is known) runs first, so freshly added instances are
-    /// available to the scheduling phase within the same tick; the
-    /// scheduling phase then re-balances the live request set over the
-    /// instances that now exist.
+    /// A re-optimization tick. The re-placement planner (when configured
+    /// and a cluster is known) runs first, so freshly added instances are
+    /// available to the scheduling planner within the same tick; the
+    /// refiner runs last. Each planner sees what its predecessors
+    /// committed. A declined plan is counted and journaled here against
+    /// its phase's `min_gain`; a plan goes to [`commit`](Self::commit).
     fn tick(&mut self, tel: &mut Telemetry) -> EventOutcome {
         self.counters.ticks += 1;
         let replacing = self.config.replace.is_some() && self.cluster.is_some();
@@ -1234,68 +1219,105 @@ impl Controller {
         if self.config.reopt.is_none() && !replacing && !refining {
             return EventOutcome::TickIgnored;
         }
-        let (instances_added, instances_retired, relocations) = if replacing {
-            self.replace_phase(tel)
-        } else {
-            (0, 0, 0)
-        };
-        let migrations = self.reopt_phase(tel);
-        let refined = if refining { self.refine_phase(tel) } else { 0 };
-        if migrations + instances_added + instances_retired + relocations + refined == 0 {
+        let mut done = Plan::default();
+        for phase in [
+            ReoptPhase::Replacement,
+            ReoptPhase::Scheduling,
+            ReoptPhase::Refiner,
+        ] {
+            let verdict = match phase {
+                ReoptPhase::Replacement => self.plan_replacement(tel),
+                ReoptPhase::Scheduling => self.plan_scheduling(tel),
+                ReoptPhase::Refiner => self.plan_refinement(tel),
+            };
+            match verdict {
+                Verdict::Idle => {}
+                Verdict::Declined(cause, predicted_gain, required_gain) => {
+                    let counters = &mut self.counters;
+                    *match phase {
+                        ReoptPhase::Scheduling => &mut counters.reopts_skipped,
+                        ReoptPhase::Replacement => &mut counters.replaces_aborted,
+                        ReoptPhase::Refiner => &mut counters.refines_rejected,
+                    } += 1;
+                    tel.emit(self.clock, self.counters.ticks, || {
+                        EventKind::ReoptRejected {
+                            phase,
+                            cause: cause.to_string(),
+                            predicted_gain,
+                            required_gain,
+                        }
+                    });
+                }
+                Verdict::Commit(plan) => {
+                    done.migrations += plan.migrations;
+                    done.added += plan.added;
+                    done.retired += plan.retired;
+                    done.relocated += plan.relocated;
+                    self.commit(Some(phase), plan, tel);
+                }
+            }
+        }
+        if done.migrations + done.added + done.retired + done.relocated == 0 {
             EventOutcome::TickSkipped
         } else {
             EventOutcome::Reoptimized {
-                migrations,
-                instances_added,
-                instances_retired,
-                relocations: relocations + refined,
+                migrations: done.migrations,
+                instances_added: done.added,
+                instances_retired: done.retired,
+                relocations: done.relocated,
             }
         }
     }
 
-    /// Journals a declined re-optimization plan against its phase's
-    /// `min_gain` and counts it: skipped scheduling passes, aborted
-    /// re-placements, rejected refinements.
-    fn decline(
-        &mut self,
-        phase: ReoptPhase,
-        cause: &'static str,
-        predicted_gain: f64,
-        tel: &mut Telemetry,
-    ) {
-        let config = &self.config;
-        let (declined, required_gain) = match phase {
-            ReoptPhase::Scheduling => (
-                &mut self.counters.reopts_skipped,
-                config.reopt.map(|c| c.min_gain),
-            ),
-            ReoptPhase::Replacement => (
-                &mut self.counters.replaces_aborted,
-                config.replace.map(|c| c.min_gain),
-            ),
-            ReoptPhase::Refiner => (
-                &mut self.counters.refines_rejected,
-                config.refiner.map(|c| c.min_gain),
-            ),
-        };
-        *declined += 1;
-        let required_gain = required_gain.unwrap_or(0.0);
-        tel.emit(self.clock, self.counters.ticks, || {
-            EventKind::ReoptRejected {
-                phase,
-                cause: cause.to_string(),
-                predicted_gain,
-                required_gain,
+    /// Adopts a plan: the one place a previewed ledger or a new VNF→node
+    /// assignment becomes live. Host availability is recomputed from the
+    /// new mapping, so a VNF relocated off a dark node is dispatchable
+    /// again at once. Adds the plan's counts, bumps its phase's applied
+    /// counter and journals one `ReoptCommit` whose realized gain is the
+    /// gate's gain; the emergency re-placement (`phase` `None`) journals
+    /// its own record.
+    fn commit(&mut self, phase: Option<ReoptPhase>, plan: Plan, tel: &mut Telemetry) {
+        if let Some(ledger) = plan.ledger {
+            self.state = ledger;
+        }
+        if let (Some(assignment), Some(cluster)) = (plan.assignment, self.cluster.as_mut()) {
+            cluster.assignment = assignment;
+            for (proto, &node) in cluster.protos.iter().zip(&cluster.assignment) {
+                self.state
+                    .set_host_down(proto.id(), cluster.node_down[node.as_usize()] > 0);
             }
-        });
+        }
+        let counters = &mut self.counters;
+        counters.migrated_reopt += plan.migrations;
+        counters.migrated_replace += plan.drains;
+        counters.instances_added += plan.added;
+        counters.instances_retired += plan.retired;
+        counters.relocations += plan.relocated;
+        *match phase {
+            Some(ReoptPhase::Scheduling) => &mut counters.reopts_applied,
+            Some(ReoptPhase::Replacement) => &mut counters.replaces_applied,
+            Some(ReoptPhase::Refiner) => &mut counters.refines_applied,
+            None => &mut counters.emergency_replaces,
+        } += 1;
+        if let Some(phase) = phase {
+            tel.emit(self.clock, self.counters.ticks, || EventKind::ReoptCommit {
+                phase,
+                migrations: plan.migrations + plan.drains,
+                instances_added: plan.added,
+                instances_retired: plan.retired,
+                relocations: plan.relocated,
+                predicted_gain: plan.gain,
+                realized_gain: plan.gain,
+            });
+        }
     }
 
-    /// The scheduling phase of a tick: re-run RCKK on the live request set
-    /// and apply a bounded, hysteresis-gated slice of the plan. Returns the
-    /// number of requests moved.
-    fn reopt_phase(&mut self, tel: &mut Telemetry) -> u64 {
+    /// The scheduling planner: re-runs RCKK on the live request set and
+    /// bounds the plan to a hysteresis-gated slice of at most
+    /// `max_migrations` moves, previewed on a cloned ledger.
+    fn plan_scheduling(&self, tel: &mut Telemetry) -> Verdict {
         let Some(reopt) = self.config.reopt else {
-            return 0;
+            return Verdict::Idle;
         };
 
         // Re-run RCKK per VNF on the live request set (raw external rates,
@@ -1332,116 +1354,83 @@ impl Controller {
         }
         tel.end(Phase::RckkPlan, plan_token);
         if moves.is_empty() {
-            self.decline(ReoptPhase::Scheduling, "empty-plan", 0.0, tel);
-            return 0;
+            return Verdict::Declined("empty-plan", 0.0, reopt.min_gain);
         }
 
-        // Bound the plan on a preview ledger. When the budget covers the
-        // whole plan, adopt it verbatim (the oracle path: the live
-        // assignment becomes exactly the fresh RCKK schedule). Otherwise
-        // pick the moves greedily by marginal predicted-latency gain — an
-        // arbitrary prefix of a full rebalance is often infeasible or even
-        // harmful, because each move's target only has room once *other*
-        // movers have left. Each move's O(1) latency interval spares the
-        // exact probe of every move that cannot be the best. A move the
-        // ledger refuses declines the plan.
+        // Bound the plan on a preview ledger. A plan within the budget is
+        // adopted whole (the oracle path: the live assignment becomes
+        // exactly the fresh RCKK schedule). Otherwise the moves are picked
+        // greedily by marginal predicted-latency gain — an arbitrary
+        // prefix of a full rebalance is often infeasible or even harmful,
+        // because each move's target only has room once *other* movers
+        // have left. Each move's O(1) latency interval spares the exact
+        // probe of every move that cannot be the best. A move the ledger
+        // refuses declines the plan.
         let probe_token = tel.begin();
         let now = self.state.predicted_latency();
         let mut preview = self.state.clone();
-        let selected = if moves.len() <= reopt.max_migrations {
-            moves
-                .iter()
-                .all(|&m| apply_move(&mut preview, m).is_some())
-                .then(|| (moves, preview.predicted_latency()))
-        } else {
-            select_greedily(
-                &mut preview,
-                moves,
-                reopt.max_migrations,
-                now,
-                apply_move,
-                ControllerState::predicted_latency,
-                Some(&move_bounds),
-            )
-        };
+        let selected = select_greedily(
+            &mut preview,
+            moves,
+            reopt.max_migrations,
+            now,
+            apply_move,
+            ControllerState::predicted_latency,
+            Some(&move_bounds),
+        );
         tel.end(Phase::HysteresisProbe, probe_token);
         let Some((moves, after)) = selected else {
-            self.decline(ReoptPhase::Scheduling, "invalid-plan", 0.0, tel);
-            return 0;
+            return Verdict::Declined("invalid-plan", 0.0, reopt.min_gain);
         };
         if moves.is_empty() {
-            self.decline(ReoptPhase::Scheduling, "no-improvement", 0.0, tel);
-            return 0;
+            return Verdict::Declined("no-improvement", 0.0, reopt.min_gain);
         }
 
         // Hysteresis: the selected moves must promise a relative
         // predicted-latency gain of at least `min_gain`. (An infeasible
-        // full plan previews as infinite latency and is skipped here.)
+        // full plan previews as infinite latency and is declined here.)
         let gain = relative_gain(now, after);
         if gain < reopt.min_gain {
-            self.decline(ReoptPhase::Scheduling, "hysteresis", gain, tel);
-            return 0;
+            return Verdict::Declined("hysteresis", gain, reopt.min_gain);
         }
-
-        // Commit: the previewed ledger becomes the live state, exactly
-        // what hysteresis accepted (finite latency, every instance
-        // stable).
-        self.state = preview;
-        let migrations = moves.len() as u64;
-        self.counters.migrated_reopt += migrations;
-        self.counters.reopts_applied += 1;
-        tel.emit(self.clock, self.counters.ticks, || {
-            // The realized gain re-measures the live ledger after the
-            // commit; equal to the prediction here (the preview is
-            // adopted), journaled so trace consumers can diff them.
-            EventKind::ReoptCommit {
-                phase: ReoptPhase::Scheduling,
-                migrations,
-                instances_added: 0,
-                instances_retired: 0,
-                relocations: 0,
-                predicted_gain: gain,
-                realized_gain: relative_gain(now, self.state.predicted_latency()),
-            }
-        });
-        migrations
+        Verdict::Commit(Plan {
+            ledger: Some(preview),
+            migrations: moves.len() as u64,
+            gain,
+            ..Plan::default()
+        })
     }
 
-    /// The re-placement phase of a tick: bounded BFDSU delta-placement over
-    /// live per-VNF rates. Computes ρ-headroom instance-count targets,
-    /// previews the plan (retirements with drains, additions, relocations)
-    /// on a cloned ledger under the per-tick op budget `K`, gates plans
-    /// that add or relocate instances on a balanced predicted-latency gain,
-    /// and commits the preview atomically. Returns
-    /// `(instances_added, instances_retired, relocations)`.
-    fn replace_phase(&mut self, tel: &mut Telemetry) -> (u64, u64, u64) {
-        let Some(rc) = self.config.replace else {
-            return (0, 0, 0);
+    /// The re-placement planner: bounded BFDSU delta-placement over live
+    /// per-VNF rates. Computes ρ-headroom instance-count targets, previews
+    /// the plan (retirements with drains, additions, relocations) on a
+    /// cloned ledger under the per-tick op budget `K`, and gates plans
+    /// that add or relocate instances on a balanced predicted-latency
+    /// gain.
+    fn plan_replacement(&self, tel: &mut Telemetry) -> Verdict {
+        let (Some(rc), Some(cluster)) = (self.config.replace, self.cluster.as_ref()) else {
+            return Verdict::Idle;
         };
 
         // Phase 1: ρ-headroom targets, truncated to the budget `K`.
         let (mut grows, shrinks) =
             self.instance_targets(rc.headroom, Some(rc.shrink_headroom), rc.max_instance_ops);
         if grows.is_empty() && shrinks.is_empty() {
-            return (0, 0, 0);
+            return Verdict::Idle;
         }
 
         // Phase 2: preview retirements; a shrink whose drain does not fit
         // is cancelled (see `retire_last`).
         let mut preview = self.state.clone();
-        let mut applied_shrinks: Vec<VnfId> = Vec::new();
-        let mut drained_total = 0u64;
+        let (mut retired, mut drains) = (0, 0);
         for &vnf in &shrinks {
             match retire_last(&mut preview, vnf) {
                 Ok(Some(drained)) => {
-                    drained_total += drained;
-                    applied_shrinks.push(vnf);
+                    drains += drained;
+                    retired += 1;
                 }
                 Ok(None) => {}
-                Err(_) => {
-                    self.decline(ReoptPhase::Replacement, "invalid-plan", 0.0, tel);
-                    return (0, 0, 0);
-                }
+                Err(_) => return Verdict::Declined("invalid-plan", 0.0, rc.min_gain),
             }
         }
 
@@ -1450,33 +1439,29 @@ impl Controller {
         // as full, so VNFs stranded on them relocate here even without
         // emergency handling. The per-tick RNG is derived from the tick
         // count, so runs are bit-identical at any thread count.
-        let Some(cluster) = self.cluster.as_ref() else {
-            return (0, 0, 0);
-        };
         let mut rng = StdRng::seed_from_u64(rc.seed ^ self.counters.ticks);
         let fit_token = tel.begin();
         let (assignment, relocated) = fit_grows(
             cluster,
             &preview,
             &mut grows,
-            applied_shrinks.len(),
+            retired as usize,
             rc.max_instance_ops,
             &mut rng,
         );
         tel.end(Phase::PlaceDelta, fit_token);
-        if grows.is_empty() && applied_shrinks.is_empty() && relocated.is_empty() {
-            return (0, 0, 0);
+        if grows.is_empty() && retired == 0 && relocated.is_empty() {
+            return Verdict::Idle;
         }
 
         // Phase 4: hysteresis. Plans that add or relocate instances must
         // promise a balanced predicted-latency gain of at least `min_gain`
-        // or the whole plan (retirements included) is aborted; pure-shrink
-        // plans are exempt — they trade latency for capacity by design,
-        // gated by the low watermark instead.
+        // or the whole plan (retirements included) is declined;
+        // pure-shrink plans are exempt — they trade latency for capacity
+        // by design, gated by the low watermark instead — and journal
+        // zero gains.
         let added = grow(&mut preview, &grows);
-        // `(now, gain)` of the gate when it ran, for the journal record;
-        // pure-shrink plans bypass it and journal zero gains.
-        let mut gate: Option<(f64, f64)> = None;
+        let mut gain = 0.0;
         if !grows.is_empty() || !relocated.is_empty() {
             let probe_token = tel.begin();
             // A plan that pulls a VNF off a dark node restores service and
@@ -1484,61 +1469,37 @@ impl Controller {
             // zero (the dead VNF carries no live load), yet skipping it
             // would strand the VNF until the node returns.
             let restores = relocated.iter().any(|&v| self.state.host_down(v));
-            let now = self.state.balanced_latency();
-            let gain = relative_gain(now, preview.balanced_latency());
+            gain = relative_gain(self.state.balanced_latency(), preview.balanced_latency());
             tel.end(Phase::HysteresisProbe, probe_token);
-            gate = Some((now, gain));
             if !restores && gain < rc.min_gain {
-                self.decline(ReoptPhase::Replacement, "hysteresis", gain, tel);
-                return (0, 0, 0);
+                return Verdict::Declined("hysteresis", gain, rc.min_gain);
             }
         }
-
-        // Phase 5: commit — the previewed ledger becomes the live state
-        // and the cluster adopts the (possibly repacked) assignment, with
-        // host-availability recomputed from the new node mapping.
-        let retired = applied_shrinks.len() as u64;
-        let moved = relocated.len() as u64;
-        self.state = preview;
-        self.commit_assignment(assignment);
-        self.counters.migrated_replace += drained_total;
-        self.counters.instances_added += added;
-        self.counters.instances_retired += retired;
-        self.counters.relocations += moved;
-        self.counters.replaces_applied += 1;
-        tel.emit(self.clock, self.counters.ticks, || {
-            let (predicted_gain, realized_gain) = gate.map_or((0.0, 0.0), |(now, gain)| {
-                (gain, relative_gain(now, self.state.balanced_latency()))
-            });
-            EventKind::ReoptCommit {
-                phase: ReoptPhase::Replacement,
-                migrations: drained_total,
-                instances_added: added,
-                instances_retired: retired,
-                relocations: moved,
-                predicted_gain,
-                realized_gain,
-            }
-        });
-        (added, retired, moved)
+        Verdict::Commit(Plan {
+            ledger: Some(preview),
+            assignment: Some(assignment),
+            drains,
+            added,
+            retired,
+            relocated: relocated.len() as u64,
+            gain,
+            ..Plan::default()
+        })
     }
 
-    /// The background-refinement phase of a tick: on a *quiet* tick (no
-    /// node currently dark, no node outage or recovery since the last
-    /// tick) run a bounded anytime metaheuristic search over the VNF→node
-    /// mapping, warm-started from the live assignment, and adopt the
-    /// searched plan when it clears the objective-gain hysteresis within
-    /// the relocation budget. Every generation is timed as a
-    /// `search-generation` span; the search itself derives per-individual
-    /// seeds from `(seed ^ tick, generation·population + i)`, so results
-    /// are bit-identical at any thread count. Returns the number of VNFs
-    /// relocated.
-    fn refine_phase(&mut self, tel: &mut Telemetry) -> u64 {
-        let Some(rc) = self.config.refiner else {
-            return 0;
-        };
-        let Some(cluster) = self.cluster.as_ref() else {
-            return 0;
+    /// The background-refinement planner: on a *quiet* tick (no node
+    /// currently dark, no node outage or recovery since the last tick) run
+    /// a bounded anytime metaheuristic search over the VNF→node mapping,
+    /// warm-started from the live assignment, and propose the searched
+    /// plan, bounded to the relocation budget, when it clears the
+    /// objective-gain hysteresis over the live assignment. Every
+    /// generation is timed as a `search-generation` span; the search
+    /// itself derives per-individual seeds from
+    /// `(seed ^ tick, generation·population + i)`, so results are
+    /// bit-identical at any thread count.
+    fn plan_refinement(&mut self, tel: &mut Telemetry) -> Verdict {
+        let (Some(rc), Some(cluster)) = (self.config.refiner, self.cluster.as_ref()) else {
+            return Verdict::Idle;
         };
         // Quiet-tick gate: outage ticks belong to the recovery machinery,
         // and a search over a degraded fleet would chase a transient
@@ -1547,12 +1508,12 @@ impl Controller {
         let quiet = !cluster.any_node_down() && outages == self.outages_seen;
         self.outages_seen = outages;
         if !quiet {
-            return 0;
+            return Verdict::Idle;
         }
         let Some(problem) = problem_with_counts(cluster.nodes.clone(), &cluster.protos, |id| {
             self.state.instances(id)
         }) else {
-            return 0;
+            return Verdict::Idle;
         };
         let live = cluster.assignment.clone();
         let mut config = match rc.engine {
@@ -1564,15 +1525,15 @@ impl Controller {
         let config = config.with_initial(live.clone());
         let incumbent = objective(&problem, &live, &config.weights);
         let Ok(mut run) = SearchRun::new(&problem, &config) else {
-            return 0;
+            return Verdict::Idle;
         };
         for _ in 0..rc.generations {
             let token = tel.begin();
             run.step();
             tel.end(Phase::SearchGeneration, token);
         }
-        let searched = run.best_assignment().to_vec();
-        let moves: Vec<(usize, NodeId)> = searched
+        let moves: Vec<(usize, NodeId)> = run
+            .best_assignment()
             .iter()
             .zip(&live)
             .enumerate()
@@ -1580,68 +1541,85 @@ impl Controller {
             .map(|(f, (&to, _))| (f, to))
             .collect();
         if moves.is_empty() {
-            self.decline(ReoptPhase::Refiner, "no-improvement", 0.0, tel);
-            return 0;
+            return Verdict::Declined("no-improvement", 0.0, rc.min_gain);
         }
         // Bound the plan. Within the budget the searched assignment is
-        // adopted verbatim; over it, single reassignments are applied
+        // adopted whole; over it, single reassignments are applied
         // greedily by marginal objective gain. Each greedy pick requires a
         // strict improvement over a feasible incumbent, and infeasible
         // intermediates score above any feasible layout, so the bounded
         // plan stays feasible move by move.
-        let (plan, predicted_fitness) = if moves.len() <= rc.max_moves {
-            (searched, run.best_fitness())
-        } else {
-            let probe_token = tel.begin();
-            let mut plan = live.clone();
-            let picked = select_greedily(
-                &mut plan,
-                moves,
-                rc.max_moves,
-                incumbent,
-                |plan, (f, node)| Some((f, std::mem::replace(plan.get_mut(f)?, node))),
-                |plan| objective(&problem, plan, &config.weights),
-                None,
-            );
-            tel.end(Phase::HysteresisProbe, probe_token);
-            let Some((_, fitness)) = picked else {
-                self.decline(ReoptPhase::Refiner, "invalid-plan", 0.0, tel);
-                return 0;
-            };
-            (plan, fitness)
+        let probe_token = tel.begin();
+        let mut plan = live;
+        let picked = select_greedily(
+            &mut plan,
+            moves,
+            rc.max_moves,
+            incumbent,
+            |plan, (f, node)| Some((f, std::mem::replace(plan.get_mut(f)?, node))),
+            |plan| objective(&problem, plan, &config.weights),
+            None,
+        );
+        tel.end(Phase::HysteresisProbe, probe_token);
+        let Some((picked, fitness)) = picked else {
+            return Verdict::Declined("invalid-plan", 0.0, rc.min_gain);
         };
         // Hysteresis: the bounded plan must promise a relative objective
         // gain of at least `min_gain` over the live assignment.
-        let gain = relative_gain(incumbent, predicted_fitness);
+        let gain = relative_gain(incumbent, fitness);
         if gain < rc.min_gain {
             let cause = if gain <= 0.0 {
                 "no-improvement"
             } else {
                 "hysteresis"
             };
-            self.decline(ReoptPhase::Refiner, cause, gain, tel);
-            return 0;
+            return Verdict::Declined(cause, gain, rc.min_gain);
         }
         debug_assert!(
             Placement::validate(&problem, &plan).is_ok(),
             "the refiner only commits feasible plans"
         );
-        let relocated = plan.iter().zip(&live).filter(|(a, b)| a != b).count() as u64;
-        let realized = relative_gain(incumbent, objective(&problem, &plan, &config.weights));
-        self.commit_assignment(plan);
-        self.counters.refines_applied += 1;
-        self.counters.relocations += relocated;
-        tel.emit(self.clock, self.counters.ticks, || EventKind::ReoptCommit {
-            phase: ReoptPhase::Refiner,
-            migrations: 0,
-            instances_added: 0,
-            instances_retired: 0,
-            relocations: relocated,
-            predicted_gain: gain,
-            realized_gain: realized,
-        });
-        relocated
+        Verdict::Commit(Plan {
+            assignment: Some(plan),
+            relocated: picked.len() as u64,
+            gain,
+            ..Plan::default()
+        })
     }
+}
+
+/// What a tick planner decided.
+enum Verdict {
+    /// Nothing to plan: the phase is off, the tick is not quiet, or no
+    /// change is needed.
+    Idle,
+    /// The plan was declined: its cause slug, its predicted gain and the
+    /// phase's required gain (`min_gain`).
+    Declined(&'static str, f64, f64),
+    /// A plan that passed its gate, for [`Controller::commit`].
+    Commit(Plan),
+}
+
+/// A plan that passed its gate: what [`Controller::commit`] adopts,
+/// counts and journals.
+#[derive(Default)]
+struct Plan {
+    /// The previewed ledger to adopt.
+    ledger: Option<ControllerState>,
+    /// The VNF→node assignment to adopt.
+    assignment: Option<Vec<NodeId>>,
+    /// Requests moved by rescheduling.
+    migrations: u64,
+    /// Requests drained off retired instances.
+    drains: u64,
+    /// Instances added.
+    added: u64,
+    /// Instances retired.
+    retired: u64,
+    /// VNFs relocated to another node.
+    relocated: u64,
+    /// The relative gain the plan's gate measured; 0 when no gate ran.
+    gain: f64,
 }
 
 /// Relative gain `(now − after) / now` of moving from score `now` to
@@ -1664,15 +1642,16 @@ fn relative_gain(now: f64, after: f64) -> f64 {
 /// Encloses each candidate's measure on a state, for [`select_greedily`].
 type Intervals<'a, S, C> = &'a dyn Fn(&S, &[C]) -> Vec<(f64, f64)>;
 
-/// The bounded greedy selector behind both plan-bounding phases: tries
-/// the remaining candidates on `state` (apply, measure, undo) and
-/// commits the one measuring lowest, while it strictly improves on the
-/// current `score`, until `budget` picks. Candidates are tried in order
-/// and the first best wins ties, so the selection is deterministic.
-/// `apply` performs one candidate and returns its inverse, which must
-/// restore `state` bit for bit. Returns the picks in order and the final
-/// score, with `state` holding every pick; `None` when `state` refused a
-/// step.
+/// The bounded selector behind both plan-bounding phases. Candidates
+/// that all fit the `budget` are applied to `state` in order and measured
+/// once. Otherwise it tries the remaining candidates on `state` (apply,
+/// measure, undo) and commits the one measuring lowest, while it strictly
+/// improves on the current `score`, until `budget` picks. Candidates are
+/// tried in order and the first best wins ties, so the selection is
+/// deterministic. `apply` performs one candidate and returns its inverse,
+/// which must restore `state` bit for bit. Returns the picks in order and
+/// the final score, with `state` holding every pick; `None` when `state`
+/// refused a step.
 ///
 /// `interval`, when given, encloses each remaining candidate's measure
 /// (`(-∞, ∞)` for one it cannot bound). A candidate whose lower end lies
@@ -1689,7 +1668,13 @@ fn select_greedily<S, C: Copy>(
     measure: impl Fn(&S) -> f64,
     interval: Option<Intervals<'_, S, C>>,
 ) -> Option<(Vec<C>, f64)> {
-    let mut picked = Vec::with_capacity(budget.min(remaining.len()));
+    if remaining.len() <= budget {
+        for &candidate in &remaining {
+            apply(state, candidate)?;
+        }
+        return Some((remaining, measure(state)));
+    }
+    let mut picked = Vec::with_capacity(budget);
     while picked.len() < budget && !remaining.is_empty() {
         let bounds = interval.map(|interval| interval(state, &remaining));
         let reach = bounds.as_ref().map_or(f64::INFINITY, |bounds| {
@@ -1946,7 +1931,7 @@ mod tests {
             assert_eq!(controller.handle(&event), EventOutcome::Departed);
             t += 0.1;
         }
-        assert_eq!(controller.active_requests(), 0);
+        assert_eq!(controller.report().active, 0);
         assert_eq!(controller.report().departed, s.requests().len() as u64);
         assert_eq!(controller.state().predicted_latency(), 0.0);
         // A second departure of the same id is stale, not an error.
@@ -1985,7 +1970,7 @@ mod tests {
             .iter()
             .find(|v| v.instances() >= 2)
             .expect("multi-instance vnf");
-        let on_zero = controller.state().member_count(vnf.id(), 0);
+        let on_zero = controller.state().members_of(vnf.id(), 0).len();
         let outcome = controller.handle(&TimedEvent::new(
             1.0,
             ChurnEvent::InstanceDown {
@@ -1999,7 +1984,7 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
-        assert_eq!(controller.state().member_count(vnf.id(), 0), 0);
+        assert_eq!(controller.state().members_of(vnf.id(), 0).len(), 0);
         assert!(!controller.state().is_up(vnf.id(), 0));
         controller.handle(&TimedEvent::new(
             2.0,

@@ -329,15 +329,6 @@ impl ControllerState {
         true
     }
 
-    /// Current outage depth of an instance (0 when up or unknown).
-    #[must_use]
-    pub fn outage_depth(&self, vnf: VnfId, instance: usize) -> u32 {
-        self.slab(vnf)
-            .and_then(|l| l.down.get(instance))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Sets or clears whole-VNF unavailability (the hosting node went dark
     /// or returned). Unknown VNFs are ignored.
     pub fn set_host_down(&mut self, vnf: VnfId, down: bool) {
@@ -568,14 +559,6 @@ impl ControllerState {
             .map_or_else(Vec::new, |run| run.iter().map(|m| m.id).collect())
     }
 
-    /// Number of requests on one instance.
-    #[must_use]
-    pub fn member_count(&self, vnf: VnfId, instance: usize) -> usize {
-        self.slab(vnf)
-            .and_then(|l| l.members.get(instance))
-            .map_or(0, Vec::len)
-    }
-
     /// Reconstructs the queueing-theoretic [`InstanceLoad`] of an instance
     /// by merging its members in id order.
     #[must_use]
@@ -634,13 +617,6 @@ impl ControllerState {
     /// Iterates over the VNF ids in ascending order.
     pub fn vnf_ids(&self) -> impl Iterator<Item = VnfId> + '_ {
         self.ids.iter().copied()
-    }
-
-    /// Number of *up* instances of a VNF (0 for an unknown VNF or one
-    /// whose hosting node is dark).
-    #[must_use]
-    pub fn up_count(&self, vnf: VnfId) -> usize {
-        self.slab(vnf).map_or(0, VnfSlab::up_instances)
     }
 
     /// Total Kleinrock-merged loss-inflated rate `Λ_f = Σ_k Λ_k^f` over
@@ -1013,7 +989,7 @@ mod tests {
             for k in 0..state.instances(vnf.id()) {
                 assert!(state.is_up(vnf.id(), k));
                 assert_eq!(state.instance_sum(vnf.id(), k), 0.0);
-                assert_eq!(state.member_count(vnf.id(), k), 0);
+                assert!(state.members_of(vnf.id(), k).is_empty());
             }
         }
     }
@@ -1165,7 +1141,6 @@ mod tests {
         let vnf = scenario.vnfs()[0].id();
         assert!(state.mark_down(vnf, 0)); // first outage opens
         assert!(state.mark_down(vnf, 0)); // second overlaps
-        assert_eq!(state.outage_depth(vnf, 0), 2);
         assert!(state.mark_up(vnf, 0)); // first outage ends
         assert!(!state.is_up(vnf, 0), "still inside the second outage");
         assert!(state.mark_up(vnf, 0)); // second outage ends
@@ -1193,7 +1168,7 @@ mod tests {
         assert!(state.fully_available());
         state.set_host_down(vnf, true);
         assert!(state.host_down(vnf));
-        assert_eq!(state.up_count(vnf), 0);
+        assert!((0..state.instances(vnf)).all(|k| !state.is_up(vnf, k)));
         assert_eq!(state.least_loaded_up(vnf), None);
         assert!(!state.is_up(vnf, 0));
         assert!(!state.fully_available());
@@ -1353,7 +1328,7 @@ mod tests {
                     (load.equivalent_arrival_rate() - state.instance_sum(vnf.id(), k)).abs()
                         < 1e-12
                 );
-                assert_eq!(load.request_count(), state.member_count(vnf.id(), k));
+                assert_eq!(load.request_count(), state.members_of(vnf.id(), k).len());
             }
         }
     }

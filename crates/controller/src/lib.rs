@@ -28,8 +28,8 @@
 //!   enables a *re-placement* phase on each tick: per-VNF instance-count
 //!   targets are derived from the live rates by a ρ-headroom rule, and a
 //!   bounded incremental BFDSU pass may add, retire, or relocate at most
-//!   `K` instances per tick, gated by a migration-cost hysteresis on the
-//!   balanced predicted latency.
+//!   `K` instances per tick, gated by a hysteresis on the relative gain
+//!   in balanced predicted latency.
 //! - Node-level failure domains — a
 //!   [`NodeDown`](nfv_workload::churn::ChurnEvent::NodeDown) takes down
 //!   every instance of every VNF the node hosts at once (the ledger tracks
@@ -43,15 +43,26 @@
 //!   metaheuristic search (`nfv-search`, GA or PSO) over the VNF→node
 //!   mapping on *quiet* ticks (no node dark, no outage since the last
 //!   tick), warm-started from the live assignment; a searched plan is
-//!   adopted through the same hysteresis discipline (minimum objective
-//!   gain, bounded relocation budget) and journaled as a
-//!   refiner-phase `ReoptCommit`/`ReoptRejected`.
+//!   bounded to a relocation budget and gated on its relative objective
+//!   gain over the live assignment.
 //! - [`ControllerReport`] — counters and derived statistics snapshotted in
 //!   virtual time for observability.
 //!
 //! Everything is deterministic: the controller is driven purely by the
 //! trace's virtual clock and never consults wall-clock time or ambient
 //! randomness, so two same-seed runs produce identical reports.
+//!
+//! Plans and commits: a tick runs its three phases in order —
+//! re-placement, scheduling, refiner — and each is a planner that reads
+//! the live state and returns a verdict: nothing to do, a declined plan
+//! (cause slug, predicted gain, the phase's `min_gain`), or a plan that
+//! passed its gate. The tick counts and journals every decline
+//! (`ReoptRejected`) in one place and hands every plan to one private
+//! `commit`, the only code that adopts a previewed ledger or a new
+//! VNF→node assignment: it recomputes host availability, adds the plan's
+//! counts, bumps the phase's applied counter and journals one
+//! `ReoptCommit`. The emergency re-placement commits through the same
+//! `commit` without a phase and journals its own `EmergencyReplace`.
 //!
 //! Ingestion: every entry point — [`Controller::handle`],
 //! [`Controller::handle_traced`], the owned [`Controller::ingest`],

@@ -28,9 +28,10 @@ pub struct ControllerReport {
     pub migrated_replace: u64,
     /// Re-optimization ticks observed (whether or not acted upon).
     pub ticks: u64,
-    /// Ticks whose migration plan was applied.
+    /// Ticks whose scheduling plan was committed.
     pub reopts_applied: u64,
-    /// Ticks skipped by the hysteresis threshold.
+    /// Ticks whose scheduling plan was declined, whatever the cause
+    /// (`empty-plan`, `invalid-plan`, `no-improvement` or `hysteresis`).
     pub reopts_skipped: u64,
     /// Instances added by re-placement passes.
     pub instances_added: u64,
@@ -38,10 +39,11 @@ pub struct ControllerReport {
     pub instances_retired: u64,
     /// Instances relocated to another node by re-placement passes.
     pub relocations: u64,
-    /// Ticks whose re-placement plan was applied.
+    /// Ticks whose re-placement plan was committed.
     pub replaces_applied: u64,
-    /// Ticks whose re-placement plan was aborted by the migration-cost
-    /// hysteresis gate.
+    /// Ticks whose re-placement plan was declined, whatever the cause
+    /// (`invalid-plan`, or `hysteresis` when its relative gain in balanced
+    /// predicted latency fell short of `min_gain`).
     pub replaces_aborted: u64,
     /// `NodeDown` events applied to the cluster (overlapping windows
     /// included).
@@ -63,8 +65,9 @@ pub struct ControllerReport {
     pub retry_abandoned: u64,
     /// Quiet-tick refiner plans committed (searched placements adopted).
     pub refines_applied: u64,
-    /// Quiet-tick refiner plans rejected by the objective-gain hysteresis
-    /// (or searches that found no improvement).
+    /// Quiet-tick refiner plans declined, whatever the cause
+    /// (`no-improvement`, `invalid-plan` or `hysteresis` on the relative
+    /// objective gain).
     pub refines_rejected: u64,
     /// Requests still waiting in the retry queue at snapshot time.
     pub retry_pending: u64,

@@ -55,7 +55,7 @@ fn single_node_outage_sheds_everything_and_retries_recover_it() {
             controller.handle(&TimedEvent::new(0.0, ChurnEvent::Arrival(request.clone())));
         assert!(matches!(outcome, EventOutcome::Admitted { .. }));
     }
-    assert_eq!(controller.active_requests() as u64, population);
+    assert_eq!(controller.report().active, population);
 
     // The node dies: every VNF loses every instance at once; nothing can
     // fail over and the emergency pass finds no surviving capacity.
@@ -75,13 +75,13 @@ fn single_node_outage_sheds_everything_and_retries_recover_it() {
         }
         other => panic!("expected NodeDownHandled, got {other:?}"),
     }
-    assert_eq!(controller.active_requests(), 0);
+    assert_eq!(controller.report().active, 0);
     assert!(!controller.state().fully_available());
 
     // Ticks during the outage must neither panic nor resurrect anything:
     // the only node is dark, so re-placement has nowhere to go.
     controller.handle(&TimedEvent::new(10.0, ChurnEvent::ReoptimizeTick));
-    assert_eq!(controller.active_requests(), 0);
+    assert_eq!(controller.report().active, 0);
     assert!(!controller.state().fully_available());
 
     // The node comes back; hosted VNFs are restored wholesale.

@@ -53,7 +53,7 @@ fn departed_while_queued_request_is_resurrected_forever() {
     // Node dies at t=5: everything is shed into the retry queue.
     let node = NodeId::new(0);
     controller.handle(&TimedEvent::new(5.0, ChurnEvent::NodeDown { node }));
-    assert_eq!(controller.active_requests(), 0);
+    assert_eq!(controller.report().active, 0);
 
     // Every request departs at t=5.5 — while queued for retry. The trace
     // says these requests are gone from the system for good.

@@ -46,12 +46,11 @@ pub(crate) struct TenantSlot<'s> {
     channel: EventChannel,
     telemetry: Telemetry,
     processed: u64,
-    /// Chaos wedge: while set, drains skip this slot (its channel stops
-    /// making progress), exercising the fleet's pump-stall detection.
-    wedged: bool,
     /// `Some` from a faulted epoch's checkpoint to its boundary sweep:
     /// the tenant's own faults of the epoch, in plan order, while the
-    /// slot records every pumped event in `log`.
+    /// slot records every pumped event in `log`. A `WedgeDrain` among
+    /// them stops every drain of the slot (its channel stops making
+    /// progress), exercising the fleet's pump-stall detection.
     armed: Option<Vec<FaultKind>>,
     /// The events pumped since the faulted epoch's checkpoint, dropped
     /// ones included, in pump order — what the controller would have
@@ -78,7 +77,6 @@ impl<'s> TenantSlot<'s> {
             channel,
             telemetry,
             processed: 0,
-            wedged: false,
             armed: None,
             log: Vec::new(),
         }
@@ -154,7 +152,8 @@ impl<'s> TenantSlot<'s> {
     /// Drains one event from the channel into the controller; `false`
     /// when the channel is empty or the slot is wedged.
     fn drain_one(&mut self) -> bool {
-        if self.wedged {
+        let wedge = |fault: &FaultKind| matches!(fault, FaultKind::WedgeDrain { .. });
+        if self.armed.iter().flatten().any(wedge) {
             return false;
         }
         let Some(event) = self.channel.pop() else {
@@ -185,9 +184,6 @@ impl<'s> TenantSlot<'s> {
             .filter(|fault| fault.tenant() == tenant)
             .copied()
             .collect();
-        self.wedged = faults
-            .iter()
-            .any(|fault| matches!(fault, FaultKind::WedgeDrain { .. }));
         self.log.clear();
         self.armed = Some(faults);
     }
@@ -199,7 +195,6 @@ impl<'s> TenantSlot<'s> {
     /// corruption breaks the controller's conservation law here, for the
     /// boundary's invariant sweep to detect.
     pub(crate) fn disarm(&mut self) -> Vec<FaultKind> {
-        self.wedged = false;
         let pumped = self.log.len() as u64;
         let mut fired = self.armed.take().unwrap_or_default();
         fired.retain(|fault| match *fault {
@@ -231,10 +226,11 @@ impl<'s> TenantSlot<'s> {
 
     /// Rewinds the slot to a checkpoint — controller restored, telemetry
     /// rewound to the checkpoint's mark, processed count reset, the
-    /// channel cleared (its events are in the replay log), the wedge
-    /// lifted — then replays the epoch's log straight into the controller
-    /// to catch up. The stream, its parked head and the log itself are
-    /// left as they are. Returns the events replayed.
+    /// channel cleared (its events are in the replay log) — then replays
+    /// the epoch's log straight into the controller to catch up. The
+    /// stream, its parked head, the log and the armed faults are left as
+    /// they are, so a wedge outlives a mid-epoch restore until the
+    /// boundary disarms it. Returns the events replayed.
     ///
     /// # Errors
     ///
@@ -254,7 +250,6 @@ impl<'s> TenantSlot<'s> {
         self.controller
             .restore(&checkpoint.controller)
             .map_err(|_| failed())?;
-        self.wedged = false;
         while self.channel.pop().is_some() {}
         for event in &self.log {
             self.controller.ingest(event.clone(), &mut self.telemetry);

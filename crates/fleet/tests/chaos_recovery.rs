@@ -339,14 +339,11 @@ fn a_shard_panic_and_a_crash_on_that_shard_recover_byte_identically() {
 fn stacked_faults_each_get_a_record_and_recover_byte_identically() {
     // Epoch 0, before any handoff: shard 0 holds tenants 0 and 2, shard 1
     // tenants 1 and 3. Tenant 1 stacks two channel drops and a live
-    // corruption; shard 0 panics mid-epoch while tenant 2 is wedged. The
-    // panic's restore lifts the wedge, so shard 0 finishes its rounds;
-    // the wedge still fired and is reported at the boundary.
+    // corruption while shard 0 panics mid-epoch.
     let plan = FaultPlan::none()
         .with_fault(0, FaultKind::ChannelDrop { tenant: 1, nth: 0 })
         .with_fault(0, FaultKind::ChannelDrop { tenant: 1, nth: 1 })
         .with_fault(0, FaultKind::CorruptState { tenant: 1 })
-        .with_fault(0, FaultKind::WedgeDrain { tenant: 2 })
         .with_fault(0, FaultKind::ShardPanic { shard: 0 });
     let baseline = run(&spec()).unwrap();
     for threads in [1, 2] {
@@ -355,18 +352,39 @@ fn stacked_faults_each_get_a_record_and_recover_byte_identically() {
             fired(&faulted),
             vec![
                 ("shard_panic", 0, 0),
-                ("wedge_drain", 0, 2),
                 ("channel_drop", 1, 1),
                 ("channel_drop", 1, 1),
                 ("corrupt_state", 1, 1),
             ],
             "one record per fired fault, {threads} thread(s)"
         );
-        assert_eq!(faulted.recovery.faults_injected, 5, "one count per fault");
+        assert_eq!(faulted.recovery.faults_injected, 4, "one count per fault");
         assert_eq!(faulted.recovery.shard_restores, 1);
         assert_eq!(faulted.recovery.tenant_restores, 1, "tenant 1 once");
         assert!(faulted.quarantines.is_empty());
         assert_byte_identical(&faulted, &baseline);
+    }
+}
+
+#[test]
+fn a_wedge_outlives_a_shard_panic_restore_and_stalls() {
+    // Tenant 2 is wedged on shard 0 in epoch 0 and the shard panics in
+    // the same epoch. The panic's restore replays tenant 2's log but
+    // leaves its faults armed, so the wedge holds and the pump stalls.
+    let plan = FaultPlan::none()
+        .with_fault(0, FaultKind::WedgeDrain { tenant: 2 })
+        .with_fault(0, FaultKind::ShardPanic { shard: 0 });
+    for threads in [1, 2] {
+        match run_with_faults(&FleetSpec { threads, ..spec() }, &plan) {
+            Err(FleetError::PumpStalled { tenant, epoch }) => {
+                assert_eq!(
+                    (tenant, epoch),
+                    (TenantId::new(2), 0),
+                    "{threads} thread(s)"
+                );
+            }
+            other => panic!("expected PumpStalled, got {other:?}"),
+        }
     }
 }
 

@@ -147,9 +147,13 @@ pub enum EventKind {
         instances_retired: u64,
         /// Instances relocated.
         relocations: u64,
-        /// Relative latency gain the preview promised.
+        /// Relative gain the plan's gate measured: in predicted latency
+        /// (scheduling), balanced predicted latency (re-placement; 0 for a
+        /// pure shrink, which bypasses the gate) or the placement
+        /// objective (refiner).
         predicted_gain: f64,
-        /// Relative latency gain measured right after the commit.
+        /// The gate's gain again, until a counterfactual audit measures
+        /// what the commit bought.
         realized_gain: f64,
     },
     /// A tick phase computed a plan and threw it away.
@@ -159,9 +163,10 @@ pub enum EventKind {
         /// Why: `"hysteresis"`, `"empty-plan"`, `"no-improvement"`, or
         /// `"invalid-plan"` when the ledger refused a planned step.
         cause: String,
-        /// Relative latency gain the preview promised.
+        /// Relative gain the plan promised, as in `ReoptCommit` (an
+        /// objective gain for the refiner); 0 when no gate ran.
         predicted_gain: f64,
-        /// The hysteresis threshold the gain failed to clear.
+        /// The phase's hysteresis threshold (`min_gain`).
         required_gain: f64,
     },
     /// A fleet supervisor checkpointed one shard at an epoch boundary.
